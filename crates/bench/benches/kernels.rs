@@ -46,7 +46,9 @@ use swim_cim::mapping::WeightMapper;
 use swim_cim::writeverify::write_verify;
 use swim_core::model::QuantizedModel;
 use swim_core::montecarlo::{nwc_sweep, parallel_map, SweepConfig};
-use swim_core::select::{build_ranking, mask_top_fraction, Strategy};
+use swim_core::select::{
+    mask_top_fraction, RandomSelector, SelectionInputs, Selector, SwimSelector,
+};
 use swim_data::Dataset;
 use swim_exp::value::{parse_json, Value};
 use swim_nn::finite_diff::hessian_diag_fd;
@@ -380,7 +382,7 @@ fn bench_sweep_throughput(h: &mut Harness) {
     };
 
     let scratch = h.bench("sweep/8runs_x3fractions/scratch", || {
-        nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &cfg)
+        nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg)
     });
     // The pre-scratch harness: clone the network and allocate fresh
     // mask/weight vectors for every run (denominator and ranking
@@ -388,7 +390,7 @@ fn bench_sweep_throughput(h: &mut Harness) {
     let clone_per_run = h.bench("sweep/8runs_x3fractions/clone_per_run", || {
         let base = Prng::seed_from_u64(cfg.seed);
         let denom = model.write_verify_all_cost(&mut base.fork(u64::MAX)) as f64;
-        let ranking = build_ranking(Strategy::Swim, &sens, &mags, None);
+        let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
         parallel_map(runs, threads, &base, |_, mut run_rng| {
             let mut network = model.network_clone();
             cfg.fractions
@@ -473,6 +475,7 @@ fn bench_simd(h: &mut Harness) {
 /// the 2-thread entries only measure spawn overhead — run this on a
 /// multi-core machine to tune `SWIM_TUNE_MIN_FLOPS`.
 fn bench_thread_threshold(h: &mut Harness) {
+    use swim_tensor::tune;
     h.group("thread_threshold (serial vs 2 threads around PARALLEL_MIN_FLOPS)");
     let mut rng = Prng::seed_from_u64(13);
     for &d in &[128usize, 160, 208, 256] {
@@ -486,11 +489,12 @@ fn bench_thread_threshold(h: &mut Harness) {
         // under test sit below the default threshold, and the flops gate
         // would otherwise silently route them down the serial path —
         // timing the very thing the knob under test disables.
-        swim_tensor::linalg::set_gemm_parallel_min_flops(1);
-        let two = h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/2threads"), || {
-            matmul_with_threads(&a, &b, 2)
+        let eligible = tune::KernelTuning { gemm_min_flops: 1, ..tune::current() };
+        let two = tune::with_tuning(&eligible, || {
+            h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/2threads"), || {
+                matmul_with_threads(&a, &b, 2)
+            })
         });
-        swim_tensor::linalg::set_gemm_parallel_min_flops(0);
         if let (Some(s), Some(t)) = (serial, two) {
             println!(
                 "  {:<44} 2-thread {:.2}x vs serial",
@@ -623,10 +627,12 @@ fn bench_selection(h: &mut Harness) {
     let n = 100_000; // LeNet-scale ranking
     let sens: Vec<f32> = (0..n).map(|_| rng.uniform_f32()).collect();
     let mags: Vec<f32> = (0..n).map(|_| rng.uniform_f32()).collect();
-    h.bench("selection/swim_ranking_100k", || build_ranking(Strategy::Swim, &sens, &mags, None));
+    h.bench("selection/swim_ranking_100k", || {
+        SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None)
+    });
     h.bench("selection/random_ranking_100k", || {
         let mut r = Prng::seed_from_u64(7);
-        build_ranking(Strategy::Random, &sens, &mags, Some(&mut r))
+        RandomSelector.rank(&SelectionInputs::new(&sens, &mags), Some(&mut r))
     });
 }
 

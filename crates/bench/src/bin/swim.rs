@@ -5,7 +5,7 @@
 //! swim run <spec.toml|spec.json|results.json> [--set key=value]... [flags]
 //! swim preset <name> [--set key=value]... [flags]
 //! swim merge <shard.json>... --out merged.json
-//! swim diff <a.json> <b.json> [--abs-tol X] [--rel-tol X] [--ignore-spec] [--ignore-tuning]
+//! swim diff <a.json> <b.json> [--abs-tol X] [--rel-tol X] [--ignore-spec]
 //! swim report <run.json> [--baseline b.json] [-o report.md]
 //! swim plot <run.json> [-o plots.txt]
 //! swim summarize <dir-or-file>... [--anchors 0,0.1,1] [-o summary.md]
@@ -19,7 +19,7 @@
 //! `examples/specs/`) — or a results document, whose embedded spec echo
 //! is extracted and re-run; `swim preset` resolves a named paper
 //! artifact (`table1`, `fig2a`, …) to its spec and runs it. Both accept
-//! `--set key=value` overrides, the classic flags (`--runs 25 --quick
+//! `--set key=value` overrides, direct flags (`--runs 25 --quick
 //! --csv`), and `--out FILE` to write the JSON results document.
 //!
 //! Long experiments survive crashes and spread across machines:
@@ -29,7 +29,8 @@
 //! block so `--resume j.json` re-enters at the first incomplete one.
 //!
 //! `swim diff` compares two results documents method-by-method and
-//! point-by-point (exit 1 on drift), `swim report` renders one document
+//! point-by-point (exit 1 on drift; provenance differences are listed
+//! but never drift), `swim report` renders one document
 //! as a self-contained Markdown report, `swim plot` draws just the
 //! per-block ASCII curves, and `swim summarize` flattens many documents
 //! into one cross-run table. See `docs/workflow.md` for the full loop.
@@ -59,7 +60,7 @@ fn usage() {
     println!("  merge <shard.json>...      merge a complete set of shard documents into the");
     println!("                             document the unsharded run would have produced");
     println!("  diff <a.json> <b.json>     compare two results documents point-by-point;");
-    println!("                             exit 1 on drift");
+    println!("                             exit 1 on drift (provenance never drifts)");
     println!("  report <run.json>          render a results document as a Markdown report");
     println!("  plot <run.json>            draw each block's accuracy-vs-NWC curves as an");
     println!("                             ASCII plot (the report's figures, stand-alone)");
@@ -84,9 +85,6 @@ fn usage() {
     println!("  --tune-cache DIR  persist tuned winners on disk, keyed by host");
     println!("                    fingerprint (see docs/autotune.md)");
     println!("  --gemm-threads N  threads inside each matrix product (never in the spec)");
-    println!("  --gemm-block N / --gemm-min-flops N");
-    println!("                    deprecated kernel-knob aliases (use the spec's [tune]");
-    println!("                    section or SWIM_TUNE_BLOCK / SWIM_TUNE_MIN_FLOPS)");
     println!("  --simd BACKEND    pin the SIMD kernel backend (scalar, avx2, avx512, neon;");
     println!("                    shorthand for --set simd=BACKEND — recorded in the spec");
     println!("                    echo; `swim list` shows this host's backends)");
@@ -103,8 +101,6 @@ fn usage() {
     println!("  --abs-tol X       absolute tolerance per numeric value (default 1e-9)");
     println!("  --rel-tol X       relative tolerance (default 0)");
     println!("  --ignore-spec     compare curves across different experiments");
-    println!("  --ignore-tuning   suppress the structural kernel-tuning entry (tuning");
-    println!("                    never changes result bytes, only timing)");
     println!();
     println!("report/plot/summarize flags:");
     println!("  --baseline FILE   annotate per-point deltas against FILE (report only)");
@@ -348,8 +344,7 @@ fn load_doc(path: &str) -> ResultsDoc {
 
 /// `swim diff a.json b.json` — exit 0 on agreement, 1 on drift.
 fn cmd_diff(raw: Vec<String>) -> ! {
-    let (positionals, rest) =
-        split_positionals(raw, &["ignore-spec", "ignore-tuning"], &["abs-tol", "rel-tol"]);
+    let (positionals, rest) = split_positionals(raw, &["ignore-spec"], &["abs-tol", "rel-tol"]);
     let args = match Args::try_parse_from(rest.into_iter()) {
         Ok(args) => args,
         Err(e) => fail(&e),
@@ -365,7 +360,6 @@ fn cmd_diff(raw: Vec<String>) -> ! {
         abs_tol: tol("abs-tol", DiffOptions::default().abs_tol),
         rel_tol: tol("rel-tol", DiffOptions::default().rel_tol),
         ignore_spec: args.has("ignore-spec"),
-        ignore_tuning: args.has("ignore-tuning"),
     };
     let a = load_doc(&positionals[0]);
     let b = load_doc(&positionals[1]);
@@ -633,16 +627,7 @@ fn main() {
             let (positionals, rest) = split_positionals(
                 raw,
                 &[],
-                &[
-                    "addr",
-                    "workers",
-                    "queue-cap",
-                    "tune",
-                    "tune-cache",
-                    "gemm-threads",
-                    "gemm-block",
-                    "gemm-min-flops",
-                ],
+                &["addr", "workers", "queue-cap", "tune", "tune-cache", "gemm-threads"],
             );
             if !positionals.is_empty() {
                 fail("`swim serve` takes flags only (see `swim help`)");

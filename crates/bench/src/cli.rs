@@ -1,10 +1,9 @@
 //! Minimal `--flag value` / `--flag=value` argument parsing for the
-//! experiment binaries.
+//! `swim` CLI.
 //!
 //! Hand-rolled (a few dozen lines) rather than pulling in an
-//! argument-parsing dependency; every binary shares the same small flag
-//! set. Stray positional arguments are an error — `swim`-style
-//! subcommands consume their positionals *before* handing the rest to
+//! argument-parsing dependency. Stray positional arguments are an error
+//! — subcommands consume their positionals *before* handing the rest to
 //! [`Args::try_parse_from`].
 
 use std::collections::BTreeMap;
@@ -133,50 +132,6 @@ impl Args {
     }
 }
 
-/// The standard flag reference shared by the experiment binaries.
-///
-/// The printed `--gemm-min-flops` default is the *resolved* threshold
-/// ([`swim_tensor::linalg::PARALLEL_MIN_FLOPS`]), the same value
-/// [`tuning_from_flags`] resolves when nothing pins the knob.
-pub fn common_help_text(binary: &str, extra: &[(&str, &str)]) -> String {
-    let mut out = String::new();
-    let mut line = |s: String| {
-        out.push_str(&s);
-        out.push('\n');
-    };
-    line(format!("usage: cargo run --release -p swim-bench --bin {binary} [flags]"));
-    line("  --runs N      Monte Carlo runs (default varies; paper used 3000)".into());
-    line("  --threads N   Monte Carlo worker threads (default: all cores)".into());
-    line("  --tune MODE   shape-keyed kernel autotuning: off (default) or on;".into());
-    line("                timing-only — result bytes are identical either way".into());
-    line("  --tune-cache DIR  persist tuned winners on disk, keyed by host".into());
-    line("                fingerprint (see docs/autotune.md)".into());
-    line("  --gemm-threads N  threads inside each matrix product (default: 1 when".into());
-    line("                the Monte Carlo level is already parallel, else all cores)".into());
-    line("  --gemm-block N    [deprecated: use [tune] / SWIM_TUNE_BLOCK] GEMM".into());
-    line("                cache-block width in columns (default: auto)".into());
-    line("  --gemm-min-flops N  [deprecated: use [tune] / SWIM_TUNE_MIN_FLOPS]".into());
-    line("                multiply count above which a product goes".into());
-    line(format!(
-        "                multithreaded (default {} = 2^22; 1 = always)",
-        swim_tensor::linalg::PARALLEL_MIN_FLOPS
-    ));
-    line("  --samples N   dataset size (train+test)".into());
-    line("  --seed N      base RNG seed".into());
-    line("  --csv         also print CSV blocks".into());
-    line("  --out FILE    write a JSON results document".into());
-    line("  --quick       tiny smoke-test configuration".into());
-    for (flag, desc) in extra {
-        line(format!("  {flag:<13} {desc}"));
-    }
-    out
-}
-
-/// Prints the standard flag reference shared by the experiment binaries.
-pub fn print_common_help(binary: &str, extra: &[(&str, &str)]) {
-    print!("{}", common_help_text(binary, extra));
-}
-
 /// Resolves the kernel-tuning configuration from the environment and
 /// the command line — the env and CLI layers of the precedence chain
 /// (spec `[tune]` > CLI flags > environment > built-in default; the
@@ -190,10 +145,6 @@ pub fn print_common_help(binary: &str, extra: &[(&str, &str)]) {
 /// (single-run phases like training and sensitivity analysis). Every
 /// knob here is a pure performance setting — results are bit-identical
 /// for every value.
-///
-/// `--gemm-block` and `--gemm-min-flops` are deprecated aliases for
-/// the corresponding [`swim_tensor::tune::KernelTuning`] pins and warn on stderr (still
-/// honored — scripts keep working).
 pub fn tuning_from_flags(
     args: &Args,
     mc_threads: usize,
@@ -201,20 +152,6 @@ pub fn tuning_from_flags(
     use swim_tensor::tune::TuneMode;
     let mut t = swim_tensor::tune::KernelTuning::from_env();
     t.gemm_threads = args.get_usize("gemm-threads", if mc_threads > 1 { 1 } else { 0 })?;
-    if args.get("gemm-block").is_some() {
-        eprintln!(
-            "[swim] --gemm-block is deprecated (still honored); use `--set tune.gemm_block=N`, \
-             the spec's [tune] section, or SWIM_TUNE_BLOCK"
-        );
-        t.gemm_block_cols = args.get_usize("gemm-block", 0)?;
-    }
-    if args.get("gemm-min-flops").is_some() {
-        eprintln!(
-            "[swim] --gemm-min-flops is deprecated (still honored); use \
-             `--set tune.gemm_min_flops=N`, the spec's [tune] section, or SWIM_TUNE_MIN_FLOPS"
-        );
-        t.gemm_min_flops = args.get_usize("gemm-min-flops", 0)?;
-    }
     if let Some(mode) = args.get("tune") {
         t.mode = TuneMode::parse(mode)
             .ok_or_else(|| format!("--tune expects `off` or `on`, got `{mode}`"))?;
@@ -226,8 +163,8 @@ pub fn tuning_from_flags(
 }
 
 /// Resolves and installs the env/CLI tuning layers, returning the
-/// resolved `(gemm_threads, gemm_block)` pair — the legacy entry point
-/// for callers with no spec layer (`swim serve`, the kernel benches).
+/// resolved `(gemm_threads, gemm_block)` pair — the entry point for
+/// callers with no spec layer (`swim serve`).
 pub fn apply_gemm_flags(args: &Args, mc_threads: usize) -> Result<(usize, usize), String> {
     let t = tuning_from_flags(args, mc_threads)?;
     swim_tensor::tune::install(&t);
@@ -298,29 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn help_advertises_resolved_gemm_min_flops_default() {
-        let help = common_help_text("table1", &[]);
-        let expect = format!("default {} = 2^22", swim_tensor::linalg::PARALLEL_MIN_FLOPS);
-        assert!(help.contains(&expect), "help says: {help}");
-    }
-
-    #[test]
     fn tuning_flags_resolve_into_kernel_tuning() {
         use swim_tensor::tune::TuneMode;
-        let args = parse(&[
-            "--tune",
-            "on",
-            "--tune-cache",
-            "/tmp/swim-tune-test",
-            "--gemm-block",
-            "128",
-            "--gemm-threads",
-            "3",
-        ]);
+        let args =
+            parse(&["--tune", "on", "--tune-cache", "/tmp/swim-tune-test", "--gemm-threads", "3"]);
         let t = tuning_from_flags(&args, 1).unwrap();
         assert_eq!(t.mode, TuneMode::On);
         assert_eq!(t.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/swim-tune-test")));
-        assert_eq!(t.gemm_block_cols, 128, "deprecated alias still honored");
         assert_eq!(t.gemm_threads, 3);
         // Defaults: serial GEMM under a parallel Monte Carlo level,
         // every core otherwise.
@@ -334,16 +255,11 @@ mod tests {
     #[test]
     fn gemm_flag_default_matches_advertised_value() {
         // With no flag given, the installed threshold must equal the
-        // value the help text advertises.
+        // documented `PARALLEL_MIN_FLOPS` default.
         apply_gemm_flags(&parse(&[]), 1).unwrap();
         assert_eq!(
             swim_tensor::linalg::gemm_parallel_min_flops(),
             swim_tensor::linalg::PARALLEL_MIN_FLOPS
         );
-        // And an explicit override sticks.
-        apply_gemm_flags(&parse(&["--gemm-min-flops", "1"]), 1).unwrap();
-        assert_eq!(swim_tensor::linalg::gemm_parallel_min_flops(), 1);
-        // Restore the default for other tests in this process.
-        apply_gemm_flags(&parse(&[]), 1).unwrap();
     }
 }

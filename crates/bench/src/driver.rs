@@ -17,6 +17,7 @@ use swim_core::report::{fmt_mean_std, Table};
 use swim_core::select::{default_selectors, Selector};
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_tensor::stats::Running;
+use swim_tensor::tune;
 use swim_tensor::Prng;
 
 /// Statistics of the in-situ baseline at one NWC checkpoint.
@@ -114,7 +115,7 @@ impl Default for DriverConfig {
 
 impl DriverConfig {
     /// The driver view of an experiment spec. `gemm_threads` /
-    /// `gemm_block` come from [`crate::cli::apply_gemm_flags`] so CLI
+    /// `gemm_block` come from the installed [`tune::KernelTuning`] so CLI
     /// overrides and the spec agree on one policy.
     pub fn from_spec(
         spec: &swim_exp::spec::ExperimentSpec,
@@ -154,8 +155,16 @@ pub fn run_methods(
     selectors: &[Box<dyn Selector>],
     cfg: &DriverConfig,
 ) -> MethodCurves {
-    swim_tensor::linalg::set_gemm_threads(cfg.gemm_threads);
-    swim_tensor::linalg::set_gemm_block_cols(cfg.gemm_block);
+    // Pin the GEMM knobs for this run and later ones (callers that
+    // resolved the config from `tune::current()` already match it).
+    let installed = tune::current();
+    if (installed.gemm_threads, installed.gemm_block_cols) != (cfg.gemm_threads, cfg.gemm_block) {
+        tune::install(&tune::KernelTuning {
+            gemm_threads: cfg.gemm_threads,
+            gemm_block_cols: cfg.gemm_block,
+            ..installed
+        });
+    }
     let loss = SoftmaxCrossEntropy::new();
     eprintln!("[driver] computing sensitivities (single second-derivative pass)...");
     let sens = prepared.model.sensitivities(&loss, &prepared.train, cfg.eval_batch);
@@ -370,7 +379,6 @@ mod tests {
     use super::*;
     use crate::prep::{prepare, PrepConfig, Scenario};
     use swim_cim::DeviceConfig;
-    use swim_core::select::Strategy;
 
     #[test]
     fn driver_smoke_test() {
@@ -394,7 +402,7 @@ mod tests {
     }
 
     /// Regression pin for the pre-trait driver: the default comparison
-    /// must keep the legacy `Strategy::all()` order — SWIM, Magnitude,
+    /// must keep the paper's presentation order — SWIM, Magnitude,
     /// Random, then In-situ — so every rendered table keeps its row
     /// order byte-for-byte.
     #[test]
@@ -411,8 +419,11 @@ mod tests {
         };
         let curves = run_all_methods(&mut prepared, &cfg);
         let names: Vec<&str> = curves.methods.iter().map(|m| m.name.as_str()).collect();
-        let legacy: Vec<&str> = Strategy::all().iter().map(|s| s.name()).collect();
-        assert_eq!(names, legacy, "table row order must not drift from the seed binaries");
+        assert_eq!(
+            names,
+            ["SWIM", "Magnitude", "Random"],
+            "table row order must not drift from the seed binaries"
+        );
 
         let table = curves.to_table("pin");
         assert_eq!(table.headers()[0], "Method");

@@ -2,22 +2,16 @@
 //! artifact and the `swim` CLI.
 //!
 //! [`run_spec`] takes a validated [`ExperimentSpec`], runs the
-//! experiment it describes, prints the same human-readable output the
-//! classic per-artifact binaries print, and returns (optionally writing
-//! to `--out`) a typed results document ([`swim_report::ResultsDoc`]):
+//! experiment it describes, prints its human-readable tables, and
+//! returns (optionally writing to `--out`) a typed results document
+//! ([`swim_report::ResultsDoc`]):
 //! the spec echo, seed, per-method accuracy-vs-NWC curves, every
 //! rendered table, and wall time. Emission goes through the same schema
 //! structs that `swim diff` / `swim report` parse back, so the write
 //! path and the read path cannot drift apart; sweeps thereby become
 //! diffable artifacts instead of terminal scrollback.
-//!
-//! The seven classic binaries (`table1`, `fig2a`…) are thin wrappers
-//! over [`preset_bin_main`], which resolves the matching preset from
-//! `swim-exp`, applies the binary's CLI flags as spec overrides, and
-//! calls [`run_spec`] — so `cargo run --bin table1` and
-//! `swim preset table1` run the identical experiment.
 
-use crate::cli::{print_common_help, tuning_from_flags, Args};
+use crate::cli::{tuning_from_flags, Args};
 use crate::driver::{run_methods, DriverConfig, MethodCurves};
 use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
 use crate::speedup::nwc_to_reach;
@@ -30,8 +24,8 @@ use swim_exp::spec::{ExperimentKind, ExperimentSpec};
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_report::io::write_atomic;
 use swim_report::schema::{
-    BlockKey, Correlations, CurvePoint, FaultDoc, InsituPoint, MethodCurveDoc, RawMethodDoc,
-    RawSweepDoc, ResultsDoc, SweepDoc,
+    merge_provenance, BlockKey, Correlations, CurvePoint, FaultDoc, InsituPoint, MethodCurveDoc,
+    Provenance, RawMethodDoc, RawSweepDoc, ResultsDoc, SweepDoc,
 };
 use swim_tensor::simd;
 use swim_tensor::tune;
@@ -40,7 +34,7 @@ use swim_tensor::Prng;
 /// Output options orthogonal to the experiment description.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Also print CSV blocks (the classic `--csv`).
+    /// Also print CSV blocks (`--csv`).
     pub csv: bool,
     /// Write the JSON results document here.
     pub out: Option<std::path::PathBuf>,
@@ -56,8 +50,8 @@ pub struct RunOptions {
     /// Refuse a spec whose `run.simd` or `[tune]` pins differ from the
     /// process's active configuration instead of switching to it — for
     /// long-lived hosts that assume one configuration for the process
-    /// lifetime (the `swim serve` engine applies the same checks via
-    /// its `validate` hook).
+    /// lifetime (the `swim serve` engine applies the same check via its
+    /// `validate` hook).
     pub pin_backend: bool,
 }
 
@@ -280,18 +274,11 @@ fn resume_into(
             path.display()
         ));
     }
-    let active = simd::backend().name();
-    if doc.simd != active {
-        return Err(format!(
-            "{}: checkpoint journal was produced under SIMD backend `{}` but this process \
-             dispatches through `{active}`; re-run with SWIM_SIMD={} (or `--simd {}`) to resume \
-             it bit-identically",
-            path.display(),
-            doc.simd,
-            doc.simd,
-            doc.simd
-        ));
-    }
+    // Resuming merges the journal with this process's continuation, so
+    // it follows the provenance merge rule (one SIMD backend).
+    let label = path.display().to_string();
+    merge_provenance(&[(&label, &doc.provenance), ("this process", &Provenance::capture())])
+        .map_err(|e| format!("cannot resume the checkpoint journal: {e}"))?;
     let Some(completed) = doc.completed else {
         return Err(format!(
             "{}: not a checkpoint journal (no `completed` block list — this looks like a \
@@ -331,22 +318,19 @@ fn resume_into(
 /// truncated document), and returns the typed document.
 pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, String> {
     spec.validate().map_err(|e| e.to_string())?;
-    if let Some(requested) = &spec.run.simd {
-        if opts.pin_backend {
-            check_backend_pinned(spec)?;
-        } else {
+    // Pinned hosts verify the spec agrees with the process's backend and
+    // tuning; otherwise the spec's `run.simd` is switched to and its
+    // `[tune]` section is overlaid on the env/CLI layers and installed
+    // once for the whole run. Tuning is timing-only — result bytes are
+    // identical under every configuration.
+    if opts.pin_backend {
+        check_provenance_pinned(spec)?;
+    } else {
+        if let Some(requested) = &spec.run.simd {
             let backend =
                 simd::Backend::parse(requested).expect("validated spec has a known SIMD backend");
             simd::set_backend(backend).map_err(|e| format!("run.simd: {e}"))?;
         }
-    }
-    // Kernel tuning: overlay the spec's `[tune]` section on the env/CLI
-    // layers and install once for the whole run (pinned hosts instead
-    // verify the spec agrees with what is already installed). Timing
-    // only — result bytes are identical under every configuration.
-    if opts.pin_backend {
-        check_tuning_pinned(spec)?;
-    } else {
         tune::install(&tuning_with_spec(&opts.tuning, spec));
     }
     let grid_kind =
@@ -381,26 +365,25 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
     Ok(doc)
 }
 
-/// Errors when a validated spec pins a `run.simd` backend other than the
-/// one this process already dispatches through.
+/// Errors when a validated spec's `run.simd` or `[tune]` pins contradict
+/// the backend and tuning this process already runs with.
 ///
-/// Used where switching backends mid-process is off the table: `run_spec`
-/// with [`RunOptions::pin_backend`], and the `swim serve` engine, whose
-/// prepared-model cache and worker pool assume one backend for the
-/// process lifetime.
-pub(crate) fn check_backend_pinned(spec: &ExperimentSpec) -> Result<(), String> {
-    if let Some(requested) = &spec.run.simd {
-        let backend =
-            simd::Backend::parse(requested).expect("validated spec has a known SIMD backend");
-        if simd::backend() != backend {
-            return Err(format!(
-                "spec pins `run.simd = \"{requested}\"` but this process dispatches through \
-                 `{}`; restart it with SWIM_SIMD={requested} to honor the spec",
-                simd::backend().name()
-            ));
-        }
+/// Used where switching configuration mid-process is off the table:
+/// `run_spec` with [`RunOptions::pin_backend`], and the `swim serve`
+/// engine, whose prepared-model cache and worker pool assume one
+/// configuration for the process lifetime. A spec that agrees with the
+/// process passes; one that pins anything else is rejected rather than
+/// switched to — a served document must not claim pins the process
+/// ignored.
+pub(crate) fn check_provenance_pinned(spec: &ExperimentSpec) -> Result<(), String> {
+    match Provenance::capture().pin_conflict(spec) {
+        None => Ok(()),
+        Some(c) => Err(format!(
+            "spec pins `{} = {}` but this process runs with `{}`; restart it with {}={} to \
+             honor the spec",
+            c.spec_key, c.pinned, c.recorded, c.env, c.pinned
+        )),
     }
-    Ok(())
 }
 
 /// The spec's `[tune]` section overlaid on the env/CLI tuning layers —
@@ -424,47 +407,6 @@ pub(crate) fn tuning_with_spec(
         t.im2col_cap_elems = c;
     }
     t
-}
-
-/// Errors when a validated spec's `[tune]` section contradicts the
-/// tuning configuration this process already installed.
-///
-/// The pinned-host counterpart of [`tuning_with_spec`]: where switching
-/// configuration mid-process is off the table (`run_spec` with
-/// [`RunOptions::pin_backend`], the `swim serve` engine), a spec that
-/// *agrees* with the installed state passes and one that pins anything
-/// else is rejected rather than switched to. Tuning never changes
-/// result bytes, but the results document records the installed
-/// configuration, and a served document must not claim a `[tune]`
-/// section the process ignored.
-pub(crate) fn check_tuning_pinned(spec: &ExperimentSpec) -> Result<(), String> {
-    let active = tune::current();
-    if let Some(mode) = &spec.tune.mode {
-        let requested = tune::TuneMode::parse(mode).expect("validated spec has a known tune mode");
-        if requested != active.mode {
-            return Err(format!(
-                "spec pins `tune.mode = \"{mode}\"` but this process runs with tuning `{}`; \
-                 restart it with SWIM_TUNE={mode} (or `--tune {mode}`) to honor the spec",
-                active.mode.name()
-            ));
-        }
-    }
-    let pins = [
-        ("gemm_block", spec.tune.gemm_block, active.gemm_block_cols, "SWIM_TUNE_BLOCK"),
-        ("gemm_min_flops", spec.tune.gemm_min_flops, active.gemm_min_flops, "SWIM_TUNE_MIN_FLOPS"),
-        ("im2col_cap", spec.tune.im2col_cap, active.im2col_cap_elems, "SWIM_TUNE_IM2COL"),
-    ];
-    for (key, requested, installed, env) in pins {
-        if let Some(requested) = requested {
-            if requested != installed {
-                return Err(format!(
-                    "spec pins `tune.{key} = {requested}` but this process runs with {installed}; \
-                     restart it with {env}={requested} to honor the spec"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Prepares one (scenario, device model, sigma) block and sweeps every
@@ -596,7 +538,7 @@ pub(crate) fn emit_table1_block(
     }
 }
 
-/// The classic `table1` output: per-sigma method tables plus the §4.3
+/// The `table1` output: per-sigma method tables plus the §4.3
 /// speed-up summaries.
 fn run_table1(
     spec: &ExperimentSpec,
@@ -698,7 +640,7 @@ pub(crate) fn emit_fig2_block(
     }
 }
 
-/// The classic Fig. 2 panel output: one sweep with the paper's shape
+/// The Fig. 2 panel output: one sweep with the paper's shape
 /// checks.
 fn run_fig2(
     spec: &ExperimentSpec,
@@ -799,7 +741,7 @@ fn run_generic_sweep(
 
 // ------------------------------------------------------------ Fig. 1
 
-/// The classic `fig1_correlation` output: perturbation scatter plus the
+/// The Fig. 1 (`fig1`) output: perturbation scatter plus the
 /// Pearson summary.
 fn run_fig1(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector) {
     let probes = spec.correlation.probes;
@@ -880,7 +822,7 @@ fn run_fig1(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector)
 
 // ------------------------------------------------------- calibration
 
-/// The classic `calibration` output: §4.1 write-verify statistics.
+/// The `calibration` output: §4.1 write-verify statistics.
 fn run_calibration(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Collector) {
     use swim_cim::device::{DeviceConfig, DeviceTech};
     use swim_cim::writeverify::measure_stats;
@@ -930,12 +872,12 @@ fn run_calibration(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Col
 
 // ---------------------------------------------------------- ablation
 
-/// The classic `ablation` output: granularity sweep, tie-break
+/// The `ablation` output: granularity sweep, tie-break
 /// comparison, calibration-set-size study.
 fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Collector) {
     use swim_core::algorithm::selective_write_verify;
     use swim_core::montecarlo::{nwc_sweep, PanicPolicy, SweepConfig};
-    use swim_core::select::{build_ranking, Strategy};
+    use swim_core::select::{SelectionInputs, Selector, SwimSelector};
 
     let sigma = spec.device.sigmas[0];
     let runs = spec.montecarlo.runs;
@@ -954,7 +896,7 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
     let reference = prepared.quant_accuracy / 100.0;
 
     // ------------------------------------------- 1. granularity p sweep
-    let ranking = build_ranking(Strategy::Swim, &sens, &mags, None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
     let mut table = Table::new(
         format!(
             "Algorithm 1 granularity sweep (deltaA = {}%, sigma = {sigma})",
@@ -1008,7 +950,7 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
         on_panic: PanicPolicy::FailFast,
     };
     let with_tb =
-        nwc_sweep(&prepared.model, &Strategy::Swim, &sens, &mags, &prepared.test, &sweep_cfg);
+        nwc_sweep(&prepared.model, &SwimSelector, &sens, &mags, &prepared.test, &sweep_cfg);
     let without_tb = nwc_sweep(
         &prepared.model,
         &SwimNoTieBreakSelector,
@@ -1079,14 +1021,8 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
             run_offset: 0,
             on_panic: PanicPolicy::FailFast,
         };
-        let pts = nwc_sweep(
-            &prepared.model,
-            &Strategy::Swim,
-            &sub_sens,
-            &mags,
-            &prepared.test,
-            &sweep_cfg,
-        );
+        let pts =
+            nwc_sweep(&prepared.model, &SwimSelector, &sub_sens, &mags, &prepared.test, &sweep_cfg);
         table.push_row_owned(vec![
             format!("{n}"),
             format!("{agreement:.3}"),
@@ -1100,25 +1036,18 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
     );
 }
 
-// ------------------------------------------------------ bin wrappers
+// ------------------------------------------------------ CLI flags
 
 /// Flags that configure output or kernels rather than the experiment —
 /// never forwarded into the spec.
-const NON_SPEC_FLAGS: &[&str] = &[
-    "gemm-threads",
-    "gemm-block",
-    "gemm-min-flops",
-    "tune",
-    "tune-cache",
-    "out",
-    "checkpoint",
-    "resume",
-];
+const NON_SPEC_FLAGS: &[&str] =
+    &["gemm-threads", "tune", "tune-cache", "out", "checkpoint", "resume"];
 
-/// Boolean flags the wrappers understand; anything else is a typo.
+/// Boolean flags `swim run`/`swim preset` understand; anything else is a
+/// typo.
 const KNOWN_BOOL_FLAGS: &[&str] = &["quick", "csv", "full", "help"];
 
-/// Applies a binary's `--flag value` pairs as spec overrides and
+/// Applies the `--flag value` pairs as spec overrides and
 /// rejects unknown boolean flags (a typo like `--quik` must not
 /// silently launch the full-budget experiment).
 pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<(), String> {
@@ -1132,11 +1061,11 @@ pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<()
             continue;
         }
         if key == "set" {
-            // A classic binary only sees the last `--set` (single-valued
-            // flag map), which would silently drop earlier ones — point
-            // at the CLI that handles repetition properly.
-            return Err("--set belongs to the `swim` CLI (`swim preset <name> --set k=v`); \
-                 the classic binaries take direct flags like --runs"
+            // The single-valued flag map only keeps the last `--set`,
+            // which would silently drop earlier ones — `swim` splits the
+            // repeatable `--set` pairs out before flag parsing.
+            return Err("--set must be split out before flag parsing (`swim preset <name> \
+                 --set k=v` does); the flag map keeps only direct flags like --runs"
                 .to_string());
         }
         spec.apply_set(&format!("{key}={value}")).map_err(|e| format!("--{key}: {e}"))?;
@@ -1161,33 +1090,6 @@ pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOption
         resume: args.get("resume").map(std::path::PathBuf::from),
         pin_backend: false,
     })
-}
-
-/// Entry point shared by the seven thin preset binaries: resolve the
-/// preset, apply CLI flags as spec overrides, run.
-pub fn preset_bin_main(preset_name: &str, help_binary: &str, extra_help: &[(&str, &str)]) {
-    let args = Args::parse();
-    if args.has("help") {
-        print_common_help(help_binary, extra_help);
-        return;
-    }
-    let mut spec = swim_exp::preset(preset_name, args.has("quick"))
-        .unwrap_or_else(|| panic!("unknown preset {preset_name}"));
-    if let Err(e) = apply_flag_overrides(&mut spec, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-    let opts = match options_from_args(&spec, &args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = run_spec(&spec, &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 #[cfg(test)]
@@ -1362,7 +1264,7 @@ mod tests {
         apply_flag_overrides(&mut spec, &args).unwrap();
     }
 
-    /// `--set` on a classic binary is rejected (single-valued flag
+    /// `--set` left in the flag map is rejected (single-valued flag
     /// parsing would silently drop repeats) and redirected to `swim`.
     #[test]
     fn set_flag_on_classic_binary_errors() {

@@ -1,21 +1,19 @@
-//! Experiment harness shared by the table/figure regeneration binaries
-//! and the unified `swim` CLI.
+//! Experiment harness behind the unified `swim` CLI.
 //!
-//! Every table and figure of the paper's evaluation section exists both
-//! as a thin classic binary under `src/bin/` and as a preset of the
-//! `swim` CLI (see DESIGN.md §6 for the full index):
+//! Every table and figure of the paper's evaluation section is a preset
+//! of the `swim` CLI (`swim preset <name>`):
 //!
-//! | Binary | Preset | Paper artifact |
-//! |--------|--------|----------------|
-//! | `fig1_correlation` | `fig1` | Fig. 1a/1b — accuracy drop vs magnitude / second derivative |
-//! | `table1` | `table1` | Table 1 — LeNet, σ ∈ {0.1, 0.15, 0.2}, 4 methods × NWC grid |
-//! | `fig2a` | `fig2a` | Fig. 2a — ConvNet / CIFAR-10-like |
-//! | `fig2b` | `fig2b` | Fig. 2b — ResNet-18 / CIFAR-10-like |
-//! | `fig2c` | `fig2c` | Fig. 2c — ResNet-18 / Tiny-ImageNet-like |
-//! | `calibration` | `calibration` | §4.1 — write-verify cycle/residual statistics |
-//! | `ablation` | `ablation` | granularity p sweep + tie-break + calibration-set ablations |
+//! | Preset | Paper artifact |
+//! |--------|----------------|
+//! | `fig1` | Fig. 1a/1b — accuracy drop vs magnitude / second derivative |
+//! | `table1` | Table 1 — LeNet, σ ∈ {0.1, 0.15, 0.2}, 4 methods × NWC grid |
+//! | `fig2a` | Fig. 2a — ConvNet / CIFAR-10-like |
+//! | `fig2b` | Fig. 2b — ResNet-18 / CIFAR-10-like |
+//! | `fig2c` | Fig. 2c — ResNet-18 / Tiny-ImageNet-like |
+//! | `calibration` | §4.1 — write-verify cycle/residual statistics |
+//! | `ablation` | granularity p sweep + tie-break + calibration-set ablations |
 //!
-//! The `swim` binary is the preferred entry point: `swim run
+//! The `swim` binary is the one entry point: `swim run
 //! <spec.toml>` executes any declarative `swim-exp` spec, `swim preset
 //! table1 --set runs=3000` runs a paper artifact with overrides, and
 //! `--out results.json` emits the machine-readable results document

@@ -18,7 +18,7 @@ use crate::experiment::{
 };
 use swim_core::montecarlo::RunFault;
 use swim_exp::spec::{ExperimentKind, ExperimentSpec};
-use swim_report::schema::{ResultsDoc, SweepDoc};
+use swim_report::schema::{merge_provenance, Provenance, ResultsDoc, SweepDoc};
 
 /// One shard input: a label for error messages (usually the file path)
 /// plus the parsed document.
@@ -93,19 +93,11 @@ pub fn merge_docs(shards: &[ShardInput]) -> Result<ResultsDoc, String> {
             ));
         }
     }
-    // Elementwise kernels are bit-identical across SIMD backends but the
-    // GEMM accumulation order is not; shards mixed across backends would
-    // merge into a document no single-shot run could produce.
-    let simd = &ordered[0].1.simd;
-    for (label, doc) in &ordered {
-        if doc.simd != *simd {
-            return Err(format!(
-                "{label}: shard ran under SIMD backend `{}` but {} ran under `{simd}` — \
-                 re-run the shards under one backend (SWIM_SIMD={simd}) before merging",
-                doc.simd, ordered[0].0
-            ));
-        }
-    }
+    // The merge itself computes nothing numeric: the document records
+    // the provenance its shards share (and refuses mixed backends).
+    let parts: Vec<(&str, &Provenance)> =
+        ordered.iter().map(|(label, doc)| (label.as_str(), &doc.provenance)).collect();
+    let provenance = merge_provenance(&parts)?;
     if !matches!(spec.kind, ExperimentKind::Table1 | ExperimentKind::Fig2 | ExperimentKind::Sweep) {
         return Err(format!(
             "`swim merge` applies to block-structured kinds (table1, fig2, sweep), not `{}`",
@@ -169,20 +161,7 @@ pub fn merge_docs(shards: &[ShardInput]) -> Result<ResultsDoc, String> {
     }
     let wall_time: f64 = ordered.iter().map(|(_, d)| d.wall_time_s).sum();
     let mut doc = results_document(&spec, collector, wall_time);
-    // The merge itself computes nothing numeric — the document's
-    // provenance is the backend the *shards* ran under, not whatever
-    // this process happens to dispatch through.
-    doc.simd = simd.clone();
-    // Same for kernel tuning, except that tuning is timing-only, so
-    // shards tuned differently still merge bit-exactly; when they do
-    // disagree, no single configuration describes the document and the
-    // merged block falls back to the default (off, nothing pinned).
-    let tuning = &ordered[0].1.tuning;
-    doc.tuning = if ordered.iter().all(|(_, d)| d.tuning == *tuning) {
-        tuning.clone()
-    } else {
-        Default::default()
-    };
+    doc.provenance = provenance;
     Ok(doc)
 }
 

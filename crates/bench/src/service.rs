@@ -40,8 +40,8 @@ use swim_serve::{serve_forever, Server, ServerConfig};
 use crate::cli::{apply_gemm_flags, Args};
 use crate::driver::{run_methods, DriverConfig, MethodCurves};
 use crate::experiment::{
-    check_backend_pinned, check_tuning_pinned, emit_fig2_block, emit_sweep_block,
-    emit_table1_block, model_sigma_grid, results_document, Collector,
+    check_provenance_pinned, emit_fig2_block, emit_sweep_block, emit_table1_block,
+    model_sigma_grid, results_document, Collector,
 };
 use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
 
@@ -129,8 +129,7 @@ impl JobEngine for ServiceEngine {
         // backend and one kernel-tuning configuration for the process
         // lifetime, so a spec pinning a different one is rejected
         // rather than switched to.
-        check_backend_pinned(spec)?;
-        check_tuning_pinned(spec)?;
+        check_provenance_pinned(spec)?;
         Ok(())
     }
 

@@ -2,7 +2,7 @@
 //! same spec run under the forced default configuration and under the
 //! shape-keyed autotuner must produce byte-identical results documents,
 //! modulo the two fields that legitimately differ — `wall_time_s` and
-//! the `tuning` provenance block itself. This is the property that
+//! the tuning inside the `provenance` envelope. This is the property that
 //! makes the tuner safe to enable anywhere: it can only ever change how
 //! fast the answer arrives, never the answer.
 
@@ -38,32 +38,35 @@ fn autotuned_run_is_byte_identical_and_pinned_hosts_reject_contradictions() {
     // ---- the differential contract -------------------------------------
     let spec = tiny_spec();
     let default_doc = run_spec(&spec, &opts_with(TuneMode::Off)).unwrap();
-    assert_eq!(default_doc.tuning.mode, "off");
-    assert!(default_doc.tuning.choices.is_empty());
+    assert_eq!(default_doc.provenance.tuning.mode, "off");
+    assert!(default_doc.provenance.tuning.choices.is_empty());
 
     tune::clear_winners();
     let tuned_doc = run_spec(&spec, &opts_with(TuneMode::On)).unwrap();
-    assert_eq!(tuned_doc.tuning.mode, "on");
+    assert_eq!(tuned_doc.provenance.tuning.mode, "on");
 
     let mut a = default_doc.clone();
     let mut b = tuned_doc.clone();
     a.wall_time_s = 0.0;
     b.wall_time_s = 0.0;
-    a.tuning = Default::default();
-    b.tuning = Default::default();
+    a.provenance.tuning = Default::default();
+    b.provenance.tuning = Default::default();
     assert_eq!(
         a.to_json(),
         b.to_json(),
-        "autotuning changed result bytes beyond wall_time_s and the tuning block"
+        "autotuning changed result bytes beyond wall_time_s and the provenance tuning"
     );
 
-    // `swim diff` semantics: the tuning difference is structural (never
-    // drift) and `--ignore-tuning` suppresses it entirely.
+    // `swim diff` semantics: the tuning difference is provenance — it is
+    // listed, but it is never drift, so the diff is clean.
     let report = diff_docs(&default_doc, &tuned_doc, &DiffOptions::default());
     assert!(report.drift.is_empty(), "{}", report.render());
-    assert!(!report.clean(), "mode off vs on must surface structurally");
-    let ignore = DiffOptions { ignore_tuning: true, ..Default::default() };
-    assert!(diff_docs(&default_doc, &tuned_doc, &ignore).clean());
+    assert!(report.clean(), "provenance must never fail a diff: {}", report.render());
+    assert!(
+        report.provenance.iter().any(|e| e.path == "provenance.tuning.mode"),
+        "mode off vs on must be listed: {}",
+        report.render()
+    );
 
     // The document round-trips with its choices intact.
     let back = swim_report::schema::ResultsDoc::parse_str(&tuned_doc.to_json()).unwrap();
@@ -73,7 +76,7 @@ fn autotuned_run_is_byte_identical_and_pinned_hosts_reject_contradictions() {
     let mut pinned_spec = tiny_spec();
     pinned_spec.apply_set("tune=off").unwrap();
     let doc = run_spec(&pinned_spec, &opts_with(TuneMode::On)).unwrap();
-    assert_eq!(doc.tuning.mode, "off", "spec `[tune] mode` must beat the CLI layer");
+    assert_eq!(doc.provenance.tuning.mode, "off", "spec `[tune] mode` must beat the CLI layer");
 
     // ---- pinned hosts (serve) reject contradicting [tune] sections -----
     tune::install(&KernelTuning { gemm_threads: 1, ..Default::default() });

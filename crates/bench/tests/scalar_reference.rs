@@ -30,7 +30,12 @@ fn report_fixture(name: &str) -> std::path::PathBuf {
 fn rerun_reproduces(path: &std::path::Path) {
     let committed = std::fs::read_to_string(path).unwrap();
     let doc = ResultsDoc::parse_str(&committed).unwrap();
-    assert_eq!(doc.simd, "scalar", "{}: golden fixtures are scalar artifacts", path.display());
+    assert_eq!(
+        doc.provenance.simd,
+        "scalar",
+        "{}: golden fixtures are scalar artifacts",
+        path.display()
+    );
     let opts = RunOptions {
         tuning: swim_tensor::tune::KernelTuning { gemm_threads: 1, ..Default::default() },
         ..Default::default()

@@ -264,6 +264,37 @@ fn shard_merge_cli_loop_matches_single_shot_run() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("incomplete partition"));
 }
 
+/// Provenance is never drift: `swim diff` of an autotuned run against
+/// a default run lists the tuning difference and exits 0, while a real
+/// numeric drift on top of it still exits 1.
+#[test]
+fn diff_of_tuned_and_default_runs_lists_provenance_and_exits_zero() {
+    let dir = tempdir("swim-diff-provenance");
+    let spec = dir.join("spec.toml");
+    std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
+    let spec = spec.display().to_string();
+    let path = |name: &str| dir.join(name).display().to_string();
+
+    let out = swim(&["run", &spec, "--out", &path("default.json")]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = swim(&["run", &spec, "--tune", "on", "--out", &path("tuned.json")]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let out = swim(&["diff", &path("default.json"), &path("tuned.json")]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("provenance.tuning.mode: `off` vs `on`"), "{stdout}");
+    assert!(stdout.contains("no drift"), "{stdout}");
+
+    let mut drifted = ResultsDoc::load(&dir.join("tuned.json")).unwrap();
+    drifted.sweeps[0].methods[0].points[0].accuracy_mean += 0.5;
+    std::fs::write(dir.join("drifted.json"), drifted.to_json()).unwrap();
+    let out = swim(&["diff", &path("default.json"), &path("drifted.json")]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("accuracy_mean"), "{stdout}");
+}
+
 /// The crash-tolerance acceptance contract: a run killed mid-sweep
 /// (after its first checkpointed block) resumes from the journal and
 /// produces a document bit-identical to the uninterrupted run.

@@ -26,7 +26,8 @@
 //! residual error std ≈ 0.034 — matching the paper's "average of 10
 //! cycles over all the weights and a weight variation distribution with
 //! σ = 0.03 after write-verify" (§4.1, after ref \[8\]). See the
-//! `calibration` experiment binary and the tests in [`writeverify`].
+//! `calibration` preset (`swim preset calibration`) and the tests in
+//! [`writeverify`].
 //!
 //! # Example
 //!

@@ -49,7 +49,7 @@ pub struct Alg1Outcome {
 /// Runs Algorithm 1 on a mapped model.
 ///
 /// `ranking` is the most-important-first weight order (from
-/// [`crate::select::build_ranking`]); `reference_accuracy` is `A`, the
+/// [`crate::select::Selector::rank`]); `reference_accuracy` is `A`, the
 /// clean model's accuracy; `eval` is the dataset `D` used for the
 /// accuracy re-reads (the paper uses the training set).
 ///
@@ -131,7 +131,7 @@ pub fn selective_write_verify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::{build_ranking, Strategy};
+    use crate::select::{SelectionInputs, Selector, SwimSelector};
     use swim_cim::DeviceConfig;
     use swim_nn::layers::{Flatten, Linear, Relu, Sequential};
     use swim_nn::loss::SoftmaxCrossEntropy;
@@ -200,7 +200,7 @@ mod tests {
         let loss = SoftmaxCrossEntropy::new();
         let sens = model.sensitivities(&loss, &data, 40);
         let mags = model.magnitudes();
-        let ranking = build_ranking(Strategy::Swim, &sens, &mags, None);
+        let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
 
         let mut rng = Prng::seed_from_u64(3);
         let tight = selective_write_verify(

@@ -21,13 +21,13 @@
 //! 6. **Monte Carlo harness** ([`montecarlo`]) — deterministic parallel
 //!    replication of the paper's 3,000-run statistics;
 //! 7. **Reporting** ([`report`]) — the aligned text tables and CSV the
-//!    experiment binaries emit.
+//!    `swim` CLI prints.
 //!
 //! # Example: one SWIM pass end to end
 //!
 //! ```
 //! use swim_core::model::QuantizedModel;
-//! use swim_core::select::{Strategy, build_ranking, mask_top_fraction};
+//! use swim_core::select::{mask_top_fraction, SelectionInputs, Selector, SwimSelector};
 //! use swim_cim::DeviceConfig;
 //! use swim_data::synthetic_mnist;
 //! use swim_nn::loss::SoftmaxCrossEntropy;
@@ -42,7 +42,7 @@
 //! // Rank by second derivative and write-verify the top 10%.
 //! let loss = SoftmaxCrossEntropy::new();
 //! let sens = model.sensitivities(&loss, &data, 20);
-//! let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+//! let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
 //! let mask = mask_top_fraction(&ranking, 0.1);
 //! let mut rng = Prng::seed_from_u64(1);
 //! let (mut programmed, summary) = model.program_network(Some(&mask), &mut rng);
@@ -66,7 +66,4 @@ pub mod sensitivity;
 pub use algorithm::{selective_write_verify, Alg1Config, Alg1Outcome};
 pub use model::QuantizedModel;
 pub use pool::{CancelToken, WorkerPool};
-pub use select::{
-    build_ranking, mask_top_fraction, registry, selector_by_name, SelectionInputs, Selector,
-    Strategy,
-};
+pub use select::{mask_top_fraction, registry, selector_by_name, SelectionInputs, Selector};

@@ -449,9 +449,6 @@ pub fn num_threads() -> usize {
 /// ranking is drawn inside each run, exactly as the paper's baseline
 /// re-selects randomly each time.
 ///
-/// The legacy [`crate::select::Strategy`] enum implements [`Selector`],
-/// so existing call sites pass `&Strategy::Swim` etc.
-///
 /// Returned accuracies are percentages (0–100) to match the paper's
 /// tables.
 ///
@@ -608,7 +605,7 @@ pub fn aggregate_sweep_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::select::Strategy;
+    use crate::select::{RandomSelector, SwimSelector};
     use swim_cim::DeviceConfig;
     use swim_nn::layers::{Flatten, Linear, Relu, Sequential};
     use swim_nn::loss::SoftmaxCrossEntropy;
@@ -760,7 +757,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let sweep = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &cfg);
+        let sweep = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg);
         assert_eq!(sweep.len(), 3);
         assert!(sweep[0].nwc < 1e-9);
         assert!(sweep[1].nwc > 0.3 && sweep[1].nwc < 0.7);
@@ -768,7 +765,7 @@ mod tests {
         // Full verification should be at least as accurate as none.
         assert!(sweep[2].accuracy.mean() >= sweep[0].accuracy.mean() - 2.0);
 
-        let again = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &cfg);
+        let again = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg);
         assert_eq!(sweep[1].accuracy.mean(), again[1].accuracy.mean());
     }
 
@@ -781,7 +778,7 @@ mod tests {
         let (mut model, data) = trained();
         let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &data, 32);
         let mags = model.magnitudes();
-        for strategy in [Strategy::Swim, Strategy::Random] {
+        for strategy in [&SwimSelector as &dyn Selector, &RandomSelector] {
             let mut curves = Vec::new();
             for threads in [1usize, 4] {
                 let cfg = SweepConfig {
@@ -792,12 +789,12 @@ mod tests {
                     seed: 11,
                     ..Default::default()
                 };
-                curves.push(nwc_sweep(&model, &strategy, &sens, &mags, &data, &cfg));
+                curves.push(nwc_sweep(&model, strategy, &sens, &mags, &data, &cfg));
             }
             for (a, b) in curves[0].iter().zip(&curves[1]) {
-                assert_eq!(a.accuracy.mean(), b.accuracy.mean(), "{strategy:?}");
-                assert_eq!(a.accuracy.std(), b.accuracy.std(), "{strategy:?}");
-                assert_eq!(a.nwc, b.nwc, "{strategy:?}");
+                assert_eq!(a.accuracy.mean(), b.accuracy.mean(), "{}", strategy.name());
+                assert_eq!(a.accuracy.std(), b.accuracy.std(), "{}", strategy.name());
+                assert_eq!(a.nwc, b.nwc, "{}", strategy.name());
             }
         }
     }
@@ -820,13 +817,13 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        let sweep = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &cfg);
+        let sweep = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg);
 
         let base = Prng::seed_from_u64(cfg.seed);
         let denom = model.write_verify_all_cost(&mut base.fork(u64::MAX)) as f64;
         let spans = model.param_spans();
         let inputs = crate::select::SelectionInputs::with_spans(&sens, &mags, &spans);
-        let ranking = Strategy::Swim.rank(&inputs, None);
+        let ranking = SwimSelector.rank(&inputs, None);
         let mut per_run: Vec<Vec<(f64, f64)>> = Vec::new();
         for r in 0..cfg.runs {
             let mut rng = base.fork(r as u64);
@@ -885,7 +882,7 @@ mod tests {
             seed: 17,
             ..Default::default()
         };
-        for point in nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &cfg) {
+        for point in nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg) {
             assert!(point.accuracy_min <= point.accuracy_p05 + 1e-12, "{point:?}");
             assert!(point.accuracy_p05 <= point.accuracy.mean() + 1e-9, "{point:?}");
             assert!(point.accuracy_min >= 0.0 && point.accuracy_p05 <= 100.0, "{point:?}");
@@ -965,27 +962,27 @@ mod tests {
             seed: 23,
             ..Default::default()
         };
-        for strategy in [Strategy::Swim, Strategy::Random] {
-            let full = nwc_sweep_outcome(&model, &strategy, &sens, &mags, &data, &full_cfg);
+        for strategy in [&SwimSelector as &dyn Selector, &RandomSelector] {
+            let full = nwc_sweep_outcome(&model, strategy, &sens, &mags, &data, &full_cfg);
             assert_eq!(full.raw.len(), 7 * 3);
             assert!(full.faults.is_empty());
 
             let mut merged_raw = Vec::new();
             for (run_offset, runs) in [(0usize, 3usize), (3, 4)] {
                 let cfg = SweepConfig { runs, run_offset, ..full_cfg.clone() };
-                let shard = nwc_sweep_outcome(&model, &strategy, &sens, &mags, &data, &cfg);
+                let shard = nwc_sweep_outcome(&model, strategy, &sens, &mags, &data, &cfg);
                 assert_eq!(shard.raw.len(), runs * 3);
                 merged_raw.extend_from_slice(&shard.raw);
             }
-            assert_eq!(merged_raw, full.raw, "{strategy:?}");
+            assert_eq!(merged_raw, full.raw, "{}", strategy.name());
 
             let merged = aggregate_sweep_rows(&full_cfg.fractions, &merged_raw, &[]);
             for (a, b) in merged.iter().zip(&full.points) {
-                assert_eq!(a.accuracy.mean(), b.accuracy.mean(), "{strategy:?}");
-                assert_eq!(a.accuracy.std(), b.accuracy.std(), "{strategy:?}");
-                assert_eq!(a.nwc, b.nwc, "{strategy:?}");
-                assert_eq!(a.accuracy_min, b.accuracy_min, "{strategy:?}");
-                assert_eq!(a.accuracy_p05, b.accuracy_p05, "{strategy:?}");
+                assert_eq!(a.accuracy.mean(), b.accuracy.mean(), "{}", strategy.name());
+                assert_eq!(a.accuracy.std(), b.accuracy.std(), "{}", strategy.name());
+                assert_eq!(a.nwc, b.nwc, "{}", strategy.name());
+                assert_eq!(a.accuracy_min, b.accuracy_min, "{}", strategy.name());
+                assert_eq!(a.accuracy_p05, b.accuracy_p05, "{}", strategy.name());
             }
         }
     }
@@ -1097,8 +1094,8 @@ mod tests {
             seed: 8,
             ..Default::default()
         };
-        let a = nwc_sweep(&model, &Strategy::Random, &sens, &mags, &data, &cfg);
-        let b = nwc_sweep(&model, &Strategy::Random, &sens, &mags, &data, &cfg);
+        let a = nwc_sweep(&model, &RandomSelector, &sens, &mags, &data, &cfg);
+        let b = nwc_sweep(&model, &RandomSelector, &sens, &mags, &data, &cfg);
         assert_eq!(a[0].accuracy.mean(), b[0].accuracy.mean());
         assert!(a[0].accuracy.std() >= 0.0);
     }

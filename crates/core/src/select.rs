@@ -9,9 +9,6 @@
 //! [`LayerBalancedSelector`]); [`registry`] lists every built-in and
 //! [`selector_by_name`] resolves the names used by experiment specs and
 //! the `swim` CLI.
-//!
-//! The original closed [`Strategy`] enum is kept as a thin compatibility
-//! shim over the trait for existing call sites.
 
 use std::cmp::Ordering;
 use swim_tensor::Prng;
@@ -325,108 +322,6 @@ pub fn selector_by_name(name: &str) -> Option<Box<dyn Selector>> {
     registry().into_iter().find(|s| s.key() == want || s.name().to_lowercase() == want)
 }
 
-/// Which metric orders the weights for write-verify (paper §4.2).
-///
-/// Compatibility shim over the [`Selector`] trait: each variant maps to
-/// the corresponding built-in selector, and [`build_ranking`] delegates
-/// to [`Selector::rank`]. New code (and anything configurable by name)
-/// should use the trait and [`registry`] directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// SWIM: descending second derivative, magnitude tie-break (§3.2).
-    Swim,
-    /// Baseline: descending absolute weight value.
-    Magnitude,
-    /// Baseline: uniformly random order (fresh per Monte Carlo run).
-    Random,
-}
-
-impl Strategy {
-    /// All strategies, in the paper's presentation order.
-    pub fn all() -> [Strategy; 3] {
-        [Strategy::Swim, Strategy::Magnitude, Strategy::Random]
-    }
-
-    /// Display name used in tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Strategy::Swim => "SWIM",
-            Strategy::Magnitude => "Magnitude",
-            Strategy::Random => "Random",
-        }
-    }
-
-    /// The equivalent trait object.
-    pub fn selector(&self) -> Box<dyn Selector> {
-        match self {
-            Strategy::Swim => Box::new(SwimSelector),
-            Strategy::Magnitude => Box::new(MagnitudeSelector),
-            Strategy::Random => Box::new(RandomSelector),
-        }
-    }
-}
-
-impl Selector for Strategy {
-    fn name(&self) -> &str {
-        Strategy::name(self)
-    }
-
-    fn is_stochastic(&self) -> bool {
-        matches!(self, Strategy::Random)
-    }
-
-    fn rank(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>) -> Vec<usize> {
-        match self {
-            Strategy::Swim => SwimSelector.rank(inputs, rng),
-            Strategy::Magnitude => MagnitudeSelector.rank(inputs, rng),
-            Strategy::Random => RandomSelector.rank(inputs, rng),
-        }
-    }
-
-    fn rank_into(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>, out: &mut Vec<usize>) {
-        match self {
-            Strategy::Swim => SwimSelector.rank_into(inputs, rng, out),
-            Strategy::Magnitude => MagnitudeSelector.rank_into(inputs, rng, out),
-            Strategy::Random => RandomSelector.rank_into(inputs, rng, out),
-        }
-    }
-}
-
-/// Builds a ranking (most-important-first weight indices) for a strategy.
-///
-/// Compatibility wrapper over [`Selector::rank`]:
-///
-/// * `Swim` sorts by `sensitivities` descending, breaking ties by
-///   `magnitudes` descending ("when two weights have the same second
-///   derivative, we use their magnitudes as the tie-breaker", §3.2);
-/// * `Magnitude` sorts by `magnitudes` descending;
-/// * `Random` shuffles uniformly — it requires `rng` and panics without
-///   one.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths, or `Random` is requested
-/// without an RNG.
-///
-/// # Example
-///
-/// ```
-/// use swim_core::select::{build_ranking, Strategy};
-///
-/// let sens = vec![0.1, 0.9, 0.1];
-/// let mags = vec![0.5, 0.1, 0.8];
-/// let r = build_ranking(Strategy::Swim, &sens, &mags, None);
-/// assert_eq!(r, vec![1, 2, 0]); // highest sensitivity, then |w| tie-break
-/// ```
-pub fn build_ranking(
-    strategy: Strategy,
-    sensitivities: &[f32],
-    magnitudes: &[f32],
-    rng: Option<&mut Prng>,
-) -> Vec<usize> {
-    strategy.rank(&SelectionInputs::new(sensitivities, magnitudes), rng)
-}
-
 /// Converts the top `fraction` of a ranking into a boolean selection
 /// mask over flat weight indices.
 ///
@@ -491,25 +386,34 @@ pub fn mask_top_k_into(ranking: &[usize], k: usize, mask: &mut Vec<bool>) {
 mod tests {
     use super::*;
 
+    fn rank(
+        selector: &dyn Selector,
+        sens: &[f32],
+        mags: &[f32],
+        rng: Option<&mut Prng>,
+    ) -> Vec<usize> {
+        selector.rank(&SelectionInputs::new(sens, mags), rng)
+    }
+
     #[test]
     fn swim_sorts_by_sensitivity() {
         let sens = vec![0.5, 2.0, 1.0];
         let mags = vec![1.0, 1.0, 1.0];
-        assert_eq!(build_ranking(Strategy::Swim, &sens, &mags, None), vec![1, 2, 0]);
+        assert_eq!(rank(&SwimSelector, &sens, &mags, None), vec![1, 2, 0]);
     }
 
     #[test]
     fn swim_tie_breaks_by_magnitude() {
         let sens = vec![1.0, 1.0, 1.0];
         let mags = vec![0.2, 0.9, 0.5];
-        assert_eq!(build_ranking(Strategy::Swim, &sens, &mags, None), vec![1, 2, 0]);
+        assert_eq!(rank(&SwimSelector, &sens, &mags, None), vec![1, 2, 0]);
     }
 
     #[test]
     fn magnitude_ignores_sensitivity() {
         let sens = vec![9.0, 0.0, 5.0];
         let mags = vec![0.1, 0.9, 0.5];
-        assert_eq!(build_ranking(Strategy::Magnitude, &sens, &mags, None), vec![1, 2, 0]);
+        assert_eq!(rank(&MagnitudeSelector, &sens, &mags, None), vec![1, 2, 0]);
     }
 
     #[test]
@@ -517,19 +421,19 @@ mod tests {
         let sens = vec![0.0; 100];
         let mags = vec![0.0; 100];
         let mut rng_a = Prng::seed_from_u64(1);
-        let a = build_ranking(Strategy::Random, &sens, &mags, Some(&mut rng_a));
+        let a = rank(&RandomSelector, &sens, &mags, Some(&mut rng_a));
         let mut sorted = a.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         let mut rng_b = Prng::seed_from_u64(2);
-        let b = build_ranking(Strategy::Random, &sens, &mags, Some(&mut rng_b));
+        let b = rank(&RandomSelector, &sens, &mags, Some(&mut rng_b));
         assert_ne!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "requires an RNG")]
     fn random_without_rng_panics() {
-        build_ranking(Strategy::Random, &[0.0], &[0.0], None);
+        rank(&RandomSelector, &[0.0], &[0.0], None);
     }
 
     #[test]
@@ -548,12 +452,6 @@ mod tests {
             let mask = mask_top_k(&ranking, k);
             assert_eq!(mask.iter().filter(|&&m| m).count(), k);
         }
-    }
-
-    #[test]
-    fn strategy_names() {
-        assert_eq!(Strategy::Swim.name(), "SWIM");
-        assert_eq!(Strategy::all().len(), 3);
     }
 
     #[test]
@@ -577,28 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_matches_trait_impls() {
-        let sens: Vec<f32> = (0..40).map(|i| ((i * 7) % 13) as f32).collect();
-        let mags: Vec<f32> = (0..40).map(|i| ((i * 5) % 11) as f32).collect();
-        let inputs = SelectionInputs::new(&sens, &mags);
-        for strategy in Strategy::all() {
-            if strategy == Strategy::Random {
-                let mut a = Prng::seed_from_u64(3);
-                let mut b = Prng::seed_from_u64(3);
-                assert_eq!(
-                    build_ranking(strategy, &sens, &mags, Some(&mut a)),
-                    strategy.selector().rank(&inputs, Some(&mut b))
-                );
-            } else {
-                assert_eq!(
-                    build_ranking(strategy, &sens, &mags, None),
-                    strategy.selector().rank(&inputs, None)
-                );
-            }
-        }
-    }
-
-    #[test]
     fn no_tiebreak_matches_zeroed_magnitudes() {
         // The ablation binary used to emulate "no tie-break" by zeroing
         // the magnitude vector; the dedicated selector must reproduce
@@ -606,7 +482,7 @@ mod tests {
         let sens = vec![1.0f32, 3.0, 1.0, 3.0, 0.5];
         let zeros = vec![0.0f32; sens.len()];
         let mags = vec![9.0f32, 1.0, 2.0, 3.0, 4.0];
-        let legacy = build_ranking(Strategy::Swim, &sens, &zeros, None);
+        let legacy = rank(&SwimSelector, &sens, &zeros, None);
         let inputs = SelectionInputs::new(&sens, &mags);
         assert_eq!(SwimNoTieBreakSelector.rank(&inputs, None), legacy);
     }

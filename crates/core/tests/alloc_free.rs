@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use swim_cim::DeviceConfig;
 use swim_core::model::{EvalScratch, QuantizedModel};
 use swim_core::montecarlo::{nwc_sweep, SweepConfig};
-use swim_core::select::{mask_top_fraction_into, Strategy};
+use swim_core::select::{mask_top_fraction_into, SwimSelector};
 use swim_data::Dataset;
 use swim_nn::layers::{
     ActQuant, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, Relu, Residual, Sequential,
@@ -171,16 +171,16 @@ fn steady_state_sweep_iterations_allocate_nothing() {
         on_panic: swim_core::montecarlo::PanicPolicy::FailFast,
     };
     // Warm sweep (thread-locals, lazy statics).
-    let _ = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &sweep_cfg(2));
+    let _ = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(2));
 
     // Same cross-thread-noise caveat as above: accept the first of a few
     // attempts where the two counts agree.
     let mut deltas = (0u64, 0u64);
     for _ in 0..5 {
         let c0 = alloc_events();
-        let short = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &sweep_cfg(4));
+        let short = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(4));
         let c1 = alloc_events();
-        let long = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &data, &sweep_cfg(24));
+        let long = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(24));
         let c2 = alloc_events();
         assert_eq!(short.len(), 3);
         assert_eq!(long.len(), 3);

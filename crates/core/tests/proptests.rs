@@ -1,7 +1,10 @@
 //! Property-based tests for the SWIM selection and accounting layers.
 
 use proptest::prelude::*;
-use swim_core::select::{build_ranking, mask_top_fraction, mask_top_k, Strategy};
+use swim_core::select::{
+    default_selectors, mask_top_fraction, mask_top_k, RandomSelector, SelectionInputs, Selector,
+    SwimSelector,
+};
 use swim_tensor::Prng;
 
 proptest! {
@@ -12,9 +15,9 @@ proptest! {
         strategy_id in 0usize..3,
     ) {
         let mags: Vec<f32> = sens.iter().map(|&s| s * 0.5 + 0.1).collect();
-        let strategy = Strategy::all()[strategy_id];
+        let strategy = &default_selectors()[strategy_id];
         let mut rng = Prng::seed_from_u64(7);
-        let ranking = build_ranking(strategy, &sens, &mags, Some(&mut rng));
+        let ranking = strategy.rank(&SelectionInputs::new(&sens, &mags), Some(&mut rng));
         let mut sorted = ranking.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..sens.len()).collect::<Vec<_>>());
@@ -26,7 +29,7 @@ proptest! {
         sens in proptest::collection::vec(0.0f32..10.0, 2..128),
     ) {
         let mags = vec![1.0f32; sens.len()];
-        let ranking = build_ranking(Strategy::Swim, &sens, &mags, None);
+        let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
         for w in ranking.windows(2) {
             prop_assert!(sens[w[0]] >= sens[w[1]]);
         }
@@ -41,7 +44,7 @@ proptest! {
     ) {
         // All-equal sensitivities: order must follow magnitudes.
         let sens = vec![1.0f32; mags.len()];
-        let ranking = build_ranking(Strategy::Swim, &sens, &mags, None);
+        let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
         for w in ranking.windows(2) {
             prop_assert!(mags[w[0]] >= mags[w[1]]);
         }
@@ -58,7 +61,7 @@ proptest! {
         let sens: Vec<f32> = (0..n).map(|i| (i as f32 * 0.7).sin().abs()).collect();
         let mags: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos().abs()).collect();
         let mut rng = Prng::seed_from_u64(seed);
-        let ranking = build_ranking(Strategy::Random, &sens, &mags, Some(&mut rng));
+        let ranking = RandomSelector.rank(&SelectionInputs::new(&sens, &mags), Some(&mut rng));
         let mask = mask_top_fraction(&ranking, fraction);
         let k = (n as f64 * fraction).round() as usize;
         prop_assert_eq!(mask.iter().filter(|&&m| m).count(), k);
@@ -77,7 +80,7 @@ proptest! {
         let mut rng = Prng::seed_from_u64(seed);
         let sens: Vec<f32> = (0..n).map(|_| rng.uniform_f32()).collect();
         let mags: Vec<f32> = (0..n).map(|_| rng.uniform_f32()).collect();
-        let ranking = build_ranking(Strategy::Swim, &sens, &mags, None);
+        let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
         let j = n / 3;
         let k = 2 * n / 3;
         let small = mask_top_k(&ranking, j);

@@ -1,12 +1,10 @@
 //! Presets replicating each paper artifact.
 //!
-//! Every regeneration binary's default configuration exists here as a
-//! named [`ExperimentSpec`]; `swim preset <name>` and the thin binary
-//! wrappers both resolve through this table, so the CLI path and the
-//! classic `cargo run --bin table1` path run the identical experiment.
+//! Every paper artifact's default configuration exists here as a named
+//! [`ExperimentSpec`]; `swim preset <name>` resolves through this table.
 //!
-//! The `quick` variant of each preset is the binary's `--quick`
-//! smoke-test shape (fewer runs/samples/epochs, single sigma).
+//! The `quick` variant of each preset is the `--quick` smoke-test shape
+//! (fewer runs/samples/epochs, single sigma).
 
 use crate::spec::{
     CorrelationSpec, ExperimentKind, ExperimentSpec, ScenarioKind, ScenarioSpec, TrainingSpec,
@@ -49,8 +47,8 @@ pub fn preset_infos() -> Vec<PresetInfo> {
     ]
 }
 
-/// Builds a preset spec by name (`quick` = the binary's `--quick`
-/// smoke shape). Returns `None` for unknown names.
+/// Builds a preset spec by name (`quick` = the `--quick` smoke
+/// shape). Returns `None` for unknown names.
 pub fn preset(name: &str, quick: bool) -> Option<ExperimentSpec> {
     let spec = match name {
         "table1" => {

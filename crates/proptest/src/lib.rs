@@ -137,7 +137,7 @@ pub trait Strategy {
     }
 }
 
-/// Strategy returned by [`Strategy::prop_map`].
+/// Strategy returned by [`Strategy`]'s `prop_map`.
 pub struct Map<S, F> {
     inner: S,
     f: F,
@@ -154,7 +154,7 @@ where
     }
 }
 
-/// Strategy returned by [`Strategy::prop_flat_map`].
+/// Strategy returned by [`Strategy`]'s `prop_flat_map`.
 pub struct FlatMap<S, F> {
     inner: S,
     f: F,
@@ -338,7 +338,7 @@ macro_rules! __proptest_items {
             let mut attempts = 0usize;
             while passed < cases && attempts < cases * 20 {
                 attempts += 1;
-                $( let $arg = $crate::Strategy::sample(&($strat), &mut rng); )+
+                $( let $arg = <_ as $crate::Strategy>::sample(&($strat), &mut rng); )+
                 let outcome = (|| -> $crate::TestCaseResult {
                     $body
                     #[allow(unreachable_code)]

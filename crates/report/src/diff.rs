@@ -1,8 +1,12 @@
 //! Method-by-method, point-by-point comparison of two results
 //! documents — the engine behind `swim diff`.
 //!
-//! A diff separates three classes of difference:
+//! A diff separates four classes of difference:
 //!
+//! * **provenance** — the documents ran under different SIMD backends
+//!   or kernel tuning (the [`crate::schema::Provenance`] envelope).
+//!   Listed leaf by leaf, but **never drift**: [`DiffReport::clean`]
+//!   ignores this class, so a provenance-only difference exits 0.
 //! * **spec** — the two documents' spec echoes describe different
 //!   experiments (different seed, budget, grid, …). Reported with the
 //!   full dotted spec path; suppressible with
@@ -37,17 +41,13 @@ pub struct DiffOptions {
     /// Skip the spec-echo comparison (deliberate cross-experiment
     /// diffs).
     pub ignore_spec: bool,
-    /// Skip the kernel-tuning provenance comparison (deliberate
-    /// autotuned-vs-default comparisons; tuning is timing-only, so the
-    /// numeric payload must still agree).
-    pub ignore_tuning: bool,
 }
 
 impl Default for DiffOptions {
     fn default() -> Self {
         // Bit-identical reproduction is the product contract, so the
         // default tolerance only forgives float-formatting noise.
-        DiffOptions { abs_tol: 1e-9, rel_tol: 0.0, ignore_spec: false, ignore_tuning: false }
+        DiffOptions { abs_tol: 1e-9, rel_tol: 0.0, ignore_spec: false }
     }
 }
 
@@ -73,6 +73,8 @@ impl DiffEntry {
 /// The full outcome of comparing two documents.
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
+    /// Provenance-envelope differences — informational, never drift.
+    pub provenance: Vec<DiffEntry>,
     /// Spec-echo differences (empty under `ignore_spec`).
     pub spec: Vec<DiffEntry>,
     /// Structural differences (payloads not comparable).
@@ -88,7 +90,7 @@ pub struct DiffReport {
 
 impl DiffReport {
     /// Whether the two documents agree (no spec, structure, or drift
-    /// differences).
+    /// differences; provenance differences never count).
     pub fn clean(&self) -> bool {
         self.spec.is_empty() && self.structure.is_empty() && self.drift.is_empty()
     }
@@ -111,6 +113,7 @@ impl DiffReport {
                 }
             }
         };
+        section("provenance differences, not drift", &self.provenance);
         section("spec differences", &self.spec);
         section("structural differences", &self.structure);
         section("drift", &self.drift);
@@ -164,28 +167,14 @@ impl Cmp<'_> {
 pub fn diff_docs(a: &ResultsDoc, b: &ResultsDoc, opts: &DiffOptions) -> DiffReport {
     let mut cmp = Cmp { opts, report: DiffReport::default() };
 
+    diff_values(
+        "provenance",
+        &a.provenance.to_value(),
+        &b.provenance.to_value(),
+        &mut cmp.report.provenance,
+    );
     if !opts.ignore_spec {
         diff_values("spec", &a.spec.to_value(), &b.spec.to_value(), &mut cmp.report.spec);
-    }
-
-    // Different SIMD backends are a different provenance, not drift —
-    // GEMM results are only tolerance-equal across backends, so any
-    // numeric deltas below should be read in that light.
-    if a.simd != b.simd {
-        cmp.report.structure.push(DiffEntry::new("simd", a.simd.clone(), b.simd.clone()));
-    }
-
-    // Different tuning configs are likewise provenance, not drift:
-    // tuning is timing-only, so two runs that differ *only* here must
-    // still produce identical payloads — but the config drift itself
-    // is worth flagging structurally (suppressible for deliberate
-    // autotuned-vs-default comparisons).
-    if !opts.ignore_tuning && a.tuning != b.tuning {
-        cmp.report.structure.push(DiffEntry::new(
-            "tuning",
-            render_tuning(&a.tuning),
-            render_tuning(&b.tuning),
-        ));
     }
 
     // ------------------------------------------------- sweep blocks
@@ -408,24 +397,6 @@ pub fn diff_docs(a: &ResultsDoc, b: &ResultsDoc, opts: &DiffOptions) -> DiffRepo
     }
 
     cmp.report
-}
-
-/// One-line summary of a tuning block for the structural diff entry.
-fn render_tuning(t: &crate::schema::TuningDoc) -> String {
-    let mut out = format!("mode={}", t.mode);
-    for (name, v) in [
-        ("block", t.gemm_block_cols),
-        ("min_flops", t.gemm_min_flops),
-        ("im2col", t.im2col_cap_elems),
-    ] {
-        if v != 0 {
-            out.push_str(&format!(" {name}={v}"));
-        }
-    }
-    if !t.choices.is_empty() {
-        out.push_str(&format!(" ({} choice(s))", t.choices.len()));
-    }
-    out
 }
 
 /// Recursively records differing leaves of two [`Value`] trees.
@@ -708,32 +679,28 @@ mod tests {
         );
     }
 
-    /// A tuning-config difference is structural (never drift — tuning
-    /// is timing-only) and suppressible with `--ignore-tuning` so the
-    /// autotune byte-identity check can compare the payloads alone.
+    /// Provenance is never drift: documents differing in both SIMD
+    /// backend and tuning diff clean, with one provenance entry per
+    /// differing leaf.
     #[test]
-    fn tuning_difference_is_structural_and_suppressible() {
-        use crate::schema::{TuningChoiceDoc, TuningDoc};
+    fn provenance_difference_is_listed_but_never_drift() {
         let a = doc();
         let mut b = doc();
-        b.tuning = TuningDoc {
-            mode: "on".into(),
-            choices: vec![TuningChoiceDoc {
-                key: "gemm-mm:256x256x256:scalar:t1".into(),
-                config: "block=128 workers=1".into(),
-                source: "autotune".into(),
-            }],
-            ..TuningDoc::default()
-        };
+        b.provenance.simd = if a.provenance.simd == "scalar" { "avx2" } else { "scalar" }.into();
+        b.provenance.tuning.mode = "on".into();
+        let report = diff_docs(&a, &b, &DiffOptions::default());
+        assert!(report.clean(), "{}", report.render());
+        let paths: Vec<&str> = report.provenance.iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(paths, ["provenance.simd", "provenance.tuning.mode"], "{}", report.render());
+        assert_eq!(report.provenance[1].left, "`off`");
+        assert_eq!(report.provenance[1].right, "`on`");
+        assert!(report.render().contains("provenance differences, not drift (2)"));
+
+        // A real numeric drift alongside still fails the diff.
+        b.sweeps[0].methods[0].points[1].accuracy_mean += 0.75;
         let report = diff_docs(&a, &b, &DiffOptions::default());
         assert!(!report.clean());
-        assert!(report.drift.is_empty(), "{}", report.render());
-        let entry = report.structure.iter().find(|e| e.path == "tuning").unwrap();
-        assert_eq!(entry.left, "mode=off");
-        assert!(entry.right.contains("mode=on") && entry.right.contains("1 choice"), "{entry:?}");
-
-        let opts = DiffOptions { ignore_tuning: true, ..Default::default() };
-        assert!(diff_docs(&a, &b, &opts).clean());
+        assert_eq!(report.drift.len(), 1, "{}", report.render());
     }
 
     #[test]

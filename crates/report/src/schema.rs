@@ -14,6 +14,11 @@
 //! level) are checked against the spec echo so a hand-edited document
 //! cannot claim to be an experiment it is not.
 //!
+//! How a run executed — its SIMD backend and kernel tuning — lives in
+//! one [`Provenance`] envelope with one policy: it is never drift in
+//! `swim diff`, shards merge it with [`merge_provenance`], and a spec
+//! that pins part of it is checked with [`Provenance::pin_conflict`].
+//!
 //! Versioning: [`RESULTS_VERSION`] is bumped on **any** schema change
 //! (strict readers make even additive changes observable); the tools in
 //! this crate read exactly the version they were built for. See
@@ -36,8 +41,9 @@ use swim_exp::value::{parse_json, Reader, Value};
 /// top-level `simd` backend provenance field and `[run] simd` in the
 /// spec echo; 5 = the top-level `tuning` kernel-autotuning provenance
 /// block (requested pins plus every shape-keyed choice the tuner made)
-/// and the `[tune]` section in the spec echo.
-pub const RESULTS_VERSION: i64 = 5;
+/// and the `[tune]` section in the spec echo; 6 = `simd` and `tuning`
+/// moved under one top-level `provenance` envelope.
+pub const RESULTS_VERSION: i64 = 6;
 
 /// A results-document parsing/validation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,8 +219,7 @@ pub struct TuningChoiceDoc {
 /// "auto", never a host-resolved value, so documents stay byte-stable
 /// across hosts) plus every shape-keyed choice the tuner made during
 /// the run. Tuning is timing-only — it can never change result bytes —
-/// so this block is attribution, not part of the numeric payload;
-/// `swim diff` reports tuning differences structurally.
+/// so this block is attribution, not part of the numeric payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TuningDoc {
     /// Tuning mode the run executed under (`off` or `on`).
@@ -268,6 +273,142 @@ impl Default for TuningDoc {
     }
 }
 
+/// The provenance envelope: how a run executed, never what it
+/// computed.
+///
+/// One policy covers every field: `swim diff` lists provenance
+/// differences in their own section and never counts them as drift,
+/// [`merge_provenance`] is the one merge rule, and
+/// [`Provenance::pin_conflict`] is the one check of a spec's `[run]
+/// simd` / `[tune]` pins — against the recorded envelope when a
+/// document is parsed, against the live process on pinned hosts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Provenance {
+    /// SIMD backend the run's kernels dispatched through (`scalar`,
+    /// `avx2`, `avx512`, or `neon`) — elementwise results are
+    /// bit-identical across backends, GEMM is tolerance-equal, so this
+    /// records which flavor produced the bytes.
+    pub simd: String,
+    /// Kernel-tuning provenance: requested mode/pins plus the tuner's
+    /// shape-keyed choices. Timing-only — never affects result bytes.
+    pub tuning: TuningDoc,
+}
+
+/// A spec pin that a [`Provenance`] contradicts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PinConflict {
+    /// Dotted spec path of the pin (e.g. `tune.gemm_block`).
+    pub spec_key: &'static str,
+    /// Dotted path of the recorded value inside the envelope.
+    pub field: &'static str,
+    /// Environment variable that sets this value for a whole process.
+    pub env: &'static str,
+    /// The value the spec pins.
+    pub pinned: String,
+    /// The value the provenance records.
+    pub recorded: String,
+}
+
+impl Provenance {
+    /// Captures the active process configuration: the dispatching SIMD
+    /// backend and the installed tuning (with the tuner's choices so
+    /// far).
+    pub fn capture() -> Provenance {
+        Provenance {
+            simd: swim_tensor::simd::backend().name().to_string(),
+            tuning: TuningDoc::capture(),
+        }
+    }
+
+    /// The first `[run] simd` / `[tune]` pin of `spec` this provenance
+    /// contradicts, if any. Unpinned spec keys never conflict.
+    pub fn pin_conflict(&self, spec: &ExperimentSpec) -> Option<PinConflict> {
+        let t = &self.tuning;
+        let num = |pin: Option<usize>| pin.map(|v| v.to_string());
+        let pins = [
+            ("run.simd", "simd", "SWIM_SIMD", spec.run.simd.clone(), self.simd.clone()),
+            ("tune.mode", "tuning.mode", "SWIM_TUNE", spec.tune.mode.clone(), t.mode.clone()),
+            (
+                "tune.gemm_block",
+                "tuning.gemm_block_cols",
+                "SWIM_TUNE_BLOCK",
+                num(spec.tune.gemm_block),
+                t.gemm_block_cols.to_string(),
+            ),
+            (
+                "tune.gemm_min_flops",
+                "tuning.gemm_min_flops",
+                "SWIM_TUNE_MIN_FLOPS",
+                num(spec.tune.gemm_min_flops),
+                t.gemm_min_flops.to_string(),
+            ),
+            (
+                "tune.im2col_cap",
+                "tuning.im2col_cap_elems",
+                "SWIM_TUNE_IM2COL",
+                num(spec.tune.im2col_cap),
+                t.im2col_cap_elems.to_string(),
+            ),
+        ];
+        pins.into_iter().find_map(|(spec_key, field, env, pinned, recorded)| {
+            let pinned = pinned?;
+            (pinned != recorded).then_some(PinConflict { spec_key, field, env, pinned, recorded })
+        })
+    }
+
+    /// Renders the envelope as a [`Value`] tree — also what `swim diff`
+    /// walks to list provenance differences.
+    pub fn to_value(&self) -> Value {
+        let mut v = Value::table();
+        v.set("simd", Value::Str(self.simd.clone()));
+        v.set("tuning", tuning_to_value(&self.tuning));
+        v
+    }
+
+    fn from_value(path: &str, value: &Value) -> Result<Provenance, SchemaError> {
+        let mut r = Reader::new(path, value)?;
+        let simd = r.string_req("simd")?;
+        if swim_tensor::simd::Backend::parse(&simd).is_none() {
+            return Err(err(format!("unknown SIMD backend `{simd}` in `{path}.simd`")));
+        }
+        let tuning = tuning_from_value(&format!("{path}.tuning"), r.require("tuning")?)?;
+        r.finish()?;
+        Ok(Provenance { simd, tuning })
+    }
+}
+
+/// The one merge rule for the provenance envelope: the merged document
+/// records what its parts share.
+///
+/// Parts that ran under different SIMD backends are an error: GEMM
+/// bytes differ across backends, so no single-shot run could have
+/// produced their merge. Tuning is timing-only, so parts tuned
+/// differently still merge bit-exactly; no single configuration then
+/// describes the result and the merged tuning falls back to the
+/// default (off, nothing pinned). `parts` pairs a label for error
+/// messages with each part's envelope.
+///
+/// # Panics
+///
+/// Panics if `parts` is empty.
+pub fn merge_provenance(parts: &[(&str, &Provenance)]) -> Result<Provenance, String> {
+    let (first_label, first) = parts[0];
+    for (label, p) in parts {
+        if p.simd != first.simd {
+            return Err(format!(
+                "{label} ran under SIMD backend `{}` but {first_label} ran under `{}` — GEMM \
+                 bytes differ across backends; re-run under one backend (SWIM_SIMD={})",
+                p.simd, first.simd, first.simd
+            ));
+        }
+    }
+    let shared_tuning = parts.iter().all(|(_, p)| p.tuning == first.tuning);
+    Ok(Provenance {
+        simd: first.simd.clone(),
+        tuning: if shared_tuning { first.tuning.clone() } else { TuningDoc::default() },
+    })
+}
+
 /// Fig. 1 correlation summary (present only for `fig1`-kind runs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Correlations {
@@ -312,14 +453,8 @@ pub struct ResultsDoc {
     /// Runs that panicked under the isolate policy (empty otherwise;
     /// omitted from the JSON when empty).
     pub faults: Vec<FaultDoc>,
-    /// SIMD backend the run's kernels dispatched through (`scalar`,
-    /// `avx2`, `avx512`, or `neon`) — elementwise results are
-    /// bit-identical across backends, GEMM is tolerance-equal, so this
-    /// records which flavor produced the bytes.
-    pub simd: String,
-    /// Kernel-tuning provenance: requested mode/pins plus the tuner's
-    /// shape-keyed choices. Timing-only — never affects result bytes.
-    pub tuning: TuningDoc,
+    /// How the run executed: SIMD backend and kernel tuning.
+    pub provenance: Provenance,
     /// Wall-clock duration of the run in seconds.
     pub wall_time_s: f64,
 }
@@ -340,8 +475,7 @@ impl ResultsDoc {
             shard,
             completed: None,
             faults: Vec::new(),
-            simd: swim_tensor::simd::backend().name().to_string(),
-            tuning: TuningDoc::capture(),
+            provenance: Provenance::capture(),
             wall_time_s,
         }
     }
@@ -383,8 +517,7 @@ impl ResultsDoc {
         doc.set("name", Value::Str(self.spec.name.clone()));
         doc.set("kind", Value::Str(self.spec.kind.key().to_string()));
         doc.set("seed", Value::Int(self.spec.seed as i64));
-        doc.set("simd", Value::Str(self.simd.clone()));
-        doc.set("tuning", tuning_to_value(&self.tuning));
+        doc.set("provenance", self.provenance.to_value());
         doc.set("spec", self.spec.to_value());
         if let Some(s) = &self.shard {
             let mut sv = Value::table();
@@ -487,12 +620,7 @@ impl ResultsDoc {
         let kind = ExperimentKind::parse(&kind_key)
             .ok_or_else(|| err(format!("unknown kind `{kind_key}`")))?;
         let seed = r.u64_req("seed")?;
-        let simd = r.string_req("simd")?;
-        if swim_tensor::simd::Backend::parse(&simd).is_none() {
-            return Err(err(format!("unknown SIMD backend `{simd}`")));
-        }
-
-        let tuning = tuning_from_value("tuning", r.require("tuning")?)?;
+        let provenance = Provenance::from_value("provenance", r.require("provenance")?)?;
 
         let spec = ExperimentSpec::from_value(r.require("spec")?)
             .map_err(|e| err(format!("spec echo: {}", e.0)))?;
@@ -508,41 +636,12 @@ impl ResultsDoc {
                 spec.seed
             )));
         }
-        // A spec echo that pinned `[run] simd` must agree with the
-        // backend the document says it ran on.
-        if let Some(requested) = &spec.run.simd {
-            if *requested != simd {
-                return Err(err(format!(
-                    "document `simd` (`{simd}`) contradicts its spec echo's `run.simd` \
-                     (`{requested}`)"
-                )));
-            }
-        }
-        // Likewise, `tuning` is denormalized from the spec echo's
-        // `[tune]` section wherever the spec pinned a value.
-        if let Some(mode) = &spec.tune.mode {
-            if *mode != tuning.mode {
-                return Err(err(format!(
-                    "document `tuning.mode` (`{}`) contradicts its spec echo's `tune.mode` \
-                     (`{mode}`)",
-                    tuning.mode
-                )));
-            }
-        }
-        let tune_pins = [
-            ("gemm_block", spec.tune.gemm_block, tuning.gemm_block_cols, "gemm_block_cols"),
-            ("gemm_min_flops", spec.tune.gemm_min_flops, tuning.gemm_min_flops, "gemm_min_flops"),
-            ("im2col_cap", spec.tune.im2col_cap, tuning.im2col_cap_elems, "im2col_cap_elems"),
-        ];
-        for (spec_key, requested, recorded, doc_key) in tune_pins {
-            if let Some(requested) = requested {
-                if requested != recorded {
-                    return Err(err(format!(
-                        "document `tuning.{doc_key}` ({recorded}) contradicts its spec echo's \
-                         `tune.{spec_key}` ({requested})"
-                    )));
-                }
-            }
+        // The envelope must honor every pin the spec echo carries.
+        if let Some(c) = provenance.pin_conflict(&spec) {
+            return Err(err(format!(
+                "document `provenance.{}` (`{}`) contradicts its spec echo's `{}` (`{}`)",
+                c.field, c.recorded, c.spec_key, c.pinned
+            )));
         }
 
         let shard = match r.take("shard") {
@@ -664,8 +763,7 @@ impl ResultsDoc {
             shard,
             completed,
             faults,
-            simd,
-            tuning,
+            provenance,
             wall_time_s,
         })
     }
@@ -1155,6 +1253,11 @@ mod tests {
         root.set("swim_results_version", Value::Int(99));
         let e = ResultsDoc::from_value(&root).unwrap_err();
         assert!(e.0.contains("unsupported results version 99"), "{e}");
+        // A v5 document (top-level `simd`/`tuning`, no envelope) is
+        // rejected by its version before its layout is looked at.
+        root.set("swim_results_version", Value::Int(5));
+        let e = ResultsDoc::from_value(&root).unwrap_err();
+        assert!(e.0.contains("unsupported results version 5"), "{e}");
     }
 
     #[test]
@@ -1262,7 +1365,7 @@ mod tests {
     #[test]
     fn tuning_block_round_trips() {
         let mut doc = sample_doc();
-        doc.tuning = TuningDoc {
+        doc.provenance.tuning = TuningDoc {
             mode: "on".into(),
             gemm_block_cols: 0,
             gemm_min_flops: 0,
@@ -1275,20 +1378,20 @@ mod tests {
         };
         let back = ResultsDoc::parse_str(&doc.to_json()).unwrap();
         assert_eq!(back, doc);
-        assert_eq!(back.tuning.choices[0].source, "autotune");
+        assert_eq!(back.provenance.tuning.choices[0].source, "autotune");
     }
 
     #[test]
     fn rejects_tuning_irregularities() {
         // Unknown mode.
         let mut doc = sample_doc();
-        doc.tuning.mode = "sometimes".into();
+        doc.provenance.tuning.mode = "sometimes".into();
         let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
         assert!(e.0.contains("unknown tuning mode `sometimes`"), "{e}");
 
         // Choices recorded under mode off.
         let mut doc = sample_doc();
-        doc.tuning.choices.push(TuningChoiceDoc {
+        doc.provenance.tuning.choices.push(TuningChoiceDoc {
             key: "gemm-mm:8x8x8:scalar:t1".into(),
             config: "block=32 workers=1".into(),
             source: "autotune".into(),
@@ -1296,12 +1399,13 @@ mod tests {
         let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
         assert!(e.0.contains("mode `off` but records 1 tuner choice"), "{e}");
 
-        // Missing block entirely (a v4-shaped document).
-        let Value::Table(entries) = sample_doc().to_value() else { unreachable!() };
-        let pruned: Vec<(String, Value)> =
-            entries.into_iter().filter(|(k, _)| k != "tuning").collect();
-        let e = ResultsDoc::from_value(&Value::Table(pruned)).unwrap_err();
-        assert!(e.0.contains("missing key `tuning`"), "{e}");
+        // Missing block entirely (a v4-shaped envelope).
+        let mut root = sample_doc().to_value();
+        let mut envelope = Value::table();
+        envelope.set("simd", Value::Str("scalar".into()));
+        root.set("provenance", envelope);
+        let e = ResultsDoc::from_value(&root).unwrap_err();
+        assert!(e.0.contains("missing key `provenance.tuning`"), "{e}");
     }
 
     #[test]
@@ -1310,20 +1414,44 @@ mod tests {
         // says the run executed with tuning off.
         let mut doc = sample_doc();
         doc.spec.tune.mode = Some("on".into());
-        doc.tuning.mode = "on".into();
+        doc.provenance.tuning.mode = "on".into();
         let good = ResultsDoc::parse_str(&doc.to_json()).unwrap();
-        assert_eq!(good.tuning.mode, "on");
+        assert_eq!(good.provenance.tuning.mode, "on");
 
-        doc.tuning.mode = "off".into();
+        doc.provenance.tuning.mode = "off".into();
         let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
         assert!(e.0.contains("contradicts its spec echo's `tune.mode`"), "{e}");
 
         // A pinned knob must match, too.
         let mut doc = sample_doc();
         doc.spec.tune.gemm_block = Some(256);
-        doc.tuning.gemm_block_cols = 128;
+        doc.provenance.tuning.gemm_block_cols = 128;
         let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
         assert!(e.0.contains("contradicts its spec echo's `tune.gemm_block`"), "{e}");
+    }
+
+    #[test]
+    fn merge_provenance_keeps_shared_and_refuses_mixed_simd() {
+        let base = Provenance { simd: "scalar".into(), tuning: TuningDoc::default() };
+        let tuned = Provenance {
+            tuning: TuningDoc { mode: "on".into(), gemm_block_cols: 128, ..TuningDoc::default() },
+            ..base.clone()
+        };
+        let avx2 = Provenance { simd: "avx2".into(), ..base.clone() };
+        let cases: [(&[&Provenance], Result<&Provenance, &str>); 4] = [
+            (&[&base, &base], Ok(&base)),
+            (&[&tuned, &tuned], Ok(&tuned)),
+            (&[&base, &tuned], Ok(&base)),
+            (&[&base, &avx2], Err("SIMD backend `avx2`")),
+        ];
+        for (parts, want) in cases {
+            let labeled: Vec<(&str, &Provenance)> = parts.iter().map(|p| ("part", *p)).collect();
+            match (merge_provenance(&labeled), want) {
+                (Ok(got), Ok(want)) => assert_eq!(&got, want),
+                (Err(e), Err(needle)) => assert!(e.contains(needle), "{e}"),
+                (got, want) => panic!("merge gave {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]

@@ -34,22 +34,15 @@ fn regenerate_fixtures() {
         let text = std::fs::read_to_string(&path).unwrap();
         let mut root = parse_json(&text).unwrap();
         root.set("swim_results_version", Value::Int(swim_report::schema::RESULTS_VERSION));
-        // Pre-v4 documents predate SIMD provenance; everything committed
-        // before the field existed was computed by the scalar kernels.
-        if root.get("simd").is_none() {
-            root.set("simd", Value::Str("scalar".into()));
-        }
-        // Pre-v5 documents predate kernel-tuning provenance; everything
-        // committed before the block existed ran with tuning off and
-        // nothing pinned.
-        if root.get("tuning").is_none() {
-            let mut tv = Value::table();
-            tv.set("mode", Value::Str("off".into()));
-            tv.set("gemm_block_cols", Value::Int(0));
-            tv.set("gemm_min_flops", Value::Int(0));
-            tv.set("im2col_cap_elems", Value::Int(0));
-            tv.set("choices", Value::Array(Vec::new()));
-            root.set("tuning", tv);
+        // v5 -> v6: the top-level `simd` and `tuning` keys move,
+        // unchanged, into the `provenance` envelope.
+        if let Value::Table(entries) = &mut root {
+            let (moved, kept): (Vec<_>, Vec<_>) =
+                entries.drain(..).partition(|(k, _)| k == "simd" || k == "tuning");
+            *entries = kept;
+            if !moved.is_empty() {
+                root.set("provenance", Value::Table(moved));
+            }
         }
         let doc = ResultsDoc::from_value(&root).unwrap_or_else(|e| panic!("{name}: {e}"));
         std::fs::write(&path, doc.to_json()).unwrap();

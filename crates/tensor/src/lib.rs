@@ -58,3 +58,13 @@ pub use error::TensorError;
 pub use rng::Prng;
 pub use shape::Shape;
 pub use tensor::Tensor;
+
+/// Serializes the unit tests that read or override the process-global
+/// SIMD backend or kernel tuning. The test harness runs tests on
+/// parallel threads, so a test comparing two kernel calls could
+/// otherwise observe another test's temporary override between them.
+#[cfg(test)]
+pub(crate) fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -20,7 +20,7 @@
 //! to an on-disk cache keyed by a host fingerprint (CPU brand + SIMD
 //! feature set + core count), so later processes on the same host skip
 //! the timing loop. Chosen configs are exposed via [`choice_records`]
-//! and recorded in the results-document provenance (`tuning` section).
+//! and recorded in the results-document provenance (`provenance.tuning`).
 //!
 //! # Timing-only contract
 //!
@@ -30,7 +30,7 @@
 //! in [`crate::linalg`] (per-element increasing-`k` accumulation,
 //! thread-count independence), so an autotuned run's results document is
 //! byte-identical to a default-config run apart from wall time and the
-//! `tuning` provenance section.
+//! `provenance` envelope.
 //!
 //! # Precedence
 //!
@@ -38,7 +38,7 @@
 //! `SWIM_TUNE_CACHE`, `SWIM_TUNE_BLOCK`, `SWIM_TUNE_MIN_FLOPS`,
 //! `SWIM_TUNE_IM2COL`) > on-disk cache > autotune > built-in default.
 //! A pinned knob (non-zero) always wins over cache and autotune; `0`
-//! means "auto" everywhere, exactly like the legacy setters.
+//! means "auto" everywhere.
 
 use crate::linalg::{NR, PARALLEL_MIN_FLOPS};
 use crate::simd::{self, Backend};
@@ -259,27 +259,6 @@ pub fn with_tuning<R>(t: &KernelTuning, f: impl FnOnce() -> R) -> R {
 pub fn mode() -> TuneMode {
     ensure_init();
     mode_from_u8(MODE.load(Ordering::Relaxed))
-}
-
-/// Pins the GEMM worker-thread count (`0` = auto). Compatibility shim
-/// behind [`crate::linalg::set_gemm_threads`].
-pub fn pin_gemm_threads(threads: usize) {
-    ensure_init();
-    PIN_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// Pins the GEMM block width (`0` = auto). Compatibility shim behind
-/// [`crate::linalg::set_gemm_block_cols`].
-pub fn pin_gemm_block_cols(cols: usize) {
-    ensure_init();
-    PIN_BLOCK.store(cols, Ordering::Relaxed);
-}
-
-/// Pins the threading threshold (`0` = default). Compatibility shim
-/// behind [`crate::linalg::set_gemm_parallel_min_flops`].
-pub fn pin_gemm_min_flops(flops: usize) {
-    ensure_init();
-    PIN_MIN_FLOPS.store(flops, Ordering::Relaxed);
 }
 
 /// `available_parallelism`, detected once and cached.
@@ -839,12 +818,6 @@ pub fn disk_entry_count() -> usize {
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the process-global tuning state.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn mode_round_trips_names() {
         for mode in [TuneMode::Off, TuneMode::On] {
@@ -855,7 +828,7 @@ mod tests {
 
     #[test]
     fn install_and_current_round_trip() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         let t = KernelTuning {
             mode: TuneMode::On,
             gemm_threads: 3,
@@ -876,7 +849,7 @@ mod tests {
 
     #[test]
     fn plan_defaults_match_legacy_heuristic() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         with_tuning(&KernelTuning::default(), || {
             let plan = gemm_plan(GemmKind::MM, 8, 70, 90, 1);
             assert_eq!(plan.workers, 1, "below the flops threshold");
@@ -886,7 +859,7 @@ mod tests {
 
     #[test]
     fn autotune_caches_winner_per_key() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         clear_winners();
         let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
         with_tuning(&t, || {
@@ -905,7 +878,7 @@ mod tests {
 
     #[test]
     fn tiny_products_skip_the_timing_loop() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         clear_winners();
         let t = KernelTuning { mode: TuneMode::On, ..Default::default() };
         with_tuning(&t, || {
@@ -916,7 +889,7 @@ mod tests {
 
     #[test]
     fn resolve_custom_respects_mode_and_caches() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         clear_winners();
         // Off: default wins, bench never runs.
         let mut ran = false;
@@ -940,7 +913,7 @@ mod tests {
 
     #[test]
     fn disk_cache_round_trips_bit_exactly() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         clear_winners();
         let dir = std::env::temp_dir().join(format!("swim-tune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -968,7 +941,7 @@ mod tests {
 
     #[test]
     fn corrupt_truncated_and_foreign_caches_are_ignored() {
-        let _guard = lock();
+        let _serial = crate::serial_guard();
         let dir = std::env::temp_dir().join(format!("swim-tune-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -49,7 +49,7 @@ fn main() {
         let mags = model.magnitudes();
         let sweep = nwc_sweep(
             &model,
-            &Strategy::Swim,
+            &SwimSelector,
             &sens,
             &mags,
             &test,

@@ -38,7 +38,7 @@ fn main() {
 
     println!("[swim] one second-derivative pass for the ranking...");
     let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 128);
-    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
 
     println!("\nAlgorithm 1 under different accuracy budgets (granularity p = 5%):\n");
     println!(

@@ -38,7 +38,7 @@ fn main() {
     let mags = model.magnitudes();
     let swim_curve = nwc_sweep(
         &model,
-        &Strategy::Swim,
+        &SwimSelector,
         &sens,
         &mags,
         &test,

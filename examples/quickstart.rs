@@ -40,7 +40,7 @@ fn main() {
     //    backward pass over the training set.
     println!("[3/4] computing second-derivative sensitivities (single pass)...");
     let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 128);
-    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
 
     // 4. Program with three write-verify budgets and measure.
     println!("[4/4] programming and evaluating under device variation...\n");

@@ -43,7 +43,7 @@
 //! // 3. Rank weights by second derivative (one pass) and write-verify
 //! //    only the top 10%.
 //! let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 64);
-//! let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+//! let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
 //! let mask = mask_top_fraction(&ranking, 0.10);
 //!
 //! // 4. Program onto devices and evaluate under programming noise.
@@ -66,10 +66,6 @@
 //! cargo run --release -p swim-bench --bin swim -- run examples/specs/table1.toml
 //! ```
 //!
-//! The classic per-artifact binaries (`table1`, `fig1_correlation`,
-//! `fig2a`–`fig2c`, `calibration`, `ablation`) remain as thin preset
-//! wrappers.
-//!
 //! [Yan, Hu & Shi, DAC 2022]: https://arxiv.org/abs/2202.08395
 
 #![warn(missing_docs)]
@@ -91,8 +87,8 @@ pub mod prelude {
     pub use swim_core::model::QuantizedModel;
     pub use swim_core::montecarlo::{nwc_sweep, SweepConfig};
     pub use swim_core::select::{
-        build_ranking, mask_top_fraction, registry, selector_by_name, SelectionInputs, Selector,
-        Strategy,
+        mask_top_fraction, registry, selector_by_name, MagnitudeSelector, RandomSelector,
+        SelectionInputs, Selector, SwimSelector,
     };
     pub use swim_data::{synthetic_cifar, synthetic_mnist, synthetic_tiny_imagenet, Dataset};
     pub use swim_exp::spec::ExperimentSpec;

@@ -101,7 +101,7 @@ fn swim_selection_on_smooth_network() {
     let sens = model.network_mut().device_hessian();
     assert!(sens.iter().any(|&h| h != 0.0));
 
-    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
     let mask = mask_top_fraction(&ranking, 0.2);
     let mut rng = Prng::seed_from_u64(5);
     let (mut mapped, _) = model.program_network(Some(&mask), &mut rng);

@@ -48,7 +48,7 @@ fn resnet18_tiny_imagenet_shapes_and_pipeline() {
     let mut model = QuantizedModel::new(net, 6, DeviceConfig::rram());
     assert_eq!(model.mapper().slicing().num_devices(), 2);
     let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 32);
-    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
     let mask = mask_top_fraction(&ranking, 0.1);
     let mut rng = Prng::seed_from_u64(12);
     let (mut mapped, summary) = model.program_network(Some(&mask), &mut rng);

@@ -80,8 +80,8 @@ fn swim_selection_beats_random_at_low_budget() {
         seed: 77,
         ..Default::default()
     };
-    let swim = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &test, &cfg);
-    let random = nwc_sweep(&model, &Strategy::Random, &sens, &mags, &test, &cfg);
+    let swim = nwc_sweep(&model, &SwimSelector, &sens, &mags, &test, &cfg);
+    let random = nwc_sweep(&model, &RandomSelector, &sens, &mags, &test, &cfg);
     assert!(
         swim[0].accuracy.mean() > random[0].accuracy.mean(),
         "SWIM {} should beat random {} at 10% budget",
@@ -104,8 +104,8 @@ fn swim_variance_is_lower_than_random() {
         seed: 78,
         ..Default::default()
     };
-    let swim = nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &test, &cfg);
-    let random = nwc_sweep(&model, &Strategy::Random, &sens, &mags, &test, &cfg);
+    let swim = nwc_sweep(&model, &SwimSelector, &sens, &mags, &test, &cfg);
+    let random = nwc_sweep(&model, &RandomSelector, &sens, &mags, &test, &cfg);
     assert!(
         swim[0].accuracy.std() < random[0].accuracy.std() * 1.5,
         "SWIM std {} should not exceed random std {} materially",
@@ -136,7 +136,7 @@ fn algorithm1_meets_budget_on_easy_setting() {
     let (mut model, train, _) = trained_lenet(0.1);
     let reference = model.clean_accuracy(&train, 128);
     let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 128);
-    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
     let mut rng = Prng::seed_from_u64(8);
     let out = swim::core::algorithm::selective_write_verify(
         &mut model,
@@ -167,7 +167,7 @@ fn end_to_end_determinism() {
             seed: 99,
             ..Default::default()
         };
-        nwc_sweep(&model, &Strategy::Swim, &sens, &mags, &test, &cfg)[0].accuracy.mean()
+        nwc_sweep(&model, &SwimSelector, &sens, &mags, &test, &cfg)[0].accuracy.mean()
     };
     assert_eq!(run(), run());
 }

@@ -34,7 +34,7 @@ fn prelude_reexports_compose() {
 
     // Selection, programming, evaluation through the facade.
     let sens = model.sensitivities(&loss, &train, 16);
-    let ranking = build_ranking(Strategy::Swim, &sens, &model.magnitudes(), None);
+    let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &model.magnitudes()), None);
     let mask = mask_top_fraction(&ranking, 0.05);
     let mut rng = Prng::seed_from_u64(1);
     let (mut mapped, summary) = model.program_network(Some(&mask), &mut rng);
