@@ -45,7 +45,7 @@ use swim_cim::device::DeviceConfig;
 use swim_cim::mapping::WeightMapper;
 use swim_cim::writeverify::write_verify;
 use swim_core::model::QuantizedModel;
-use swim_core::montecarlo::{nwc_sweep, parallel_map, SweepConfig};
+use swim_core::montecarlo::{nwc_sweep_outcome, parallel_map_with, SweepConfig};
 use swim_core::select::{
     mask_top_fraction, RandomSelector, SelectionInputs, Selector, SwimSelector,
 };
@@ -351,7 +351,7 @@ fn bench_conv_lowering(h: &mut Harness) {
 }
 
 /// End-to-end Monte Carlo sweep throughput: per-worker scratch reuse
-/// (the live `nwc_sweep` path) vs the old clone-per-run harness,
+/// (the live `nwc_sweep_outcome` path) vs the old clone-per-run harness,
 /// reported in runs/sec.
 fn bench_sweep_throughput(h: &mut Harness) {
     let mut rng = Prng::seed_from_u64(12);
@@ -382,28 +382,34 @@ fn bench_sweep_throughput(h: &mut Harness) {
     };
 
     let scratch = h.bench("sweep/8runs_x3fractions/scratch", || {
-        nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg)
+        nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &cfg).points
     });
     // The pre-scratch harness: clone the network and allocate fresh
     // mask/weight vectors for every run (denominator and ranking
-    // computed per sweep, exactly like `nwc_sweep` does).
+    // computed per sweep, exactly like `nwc_sweep_outcome` does).
     let clone_per_run = h.bench("sweep/8runs_x3fractions/clone_per_run", || {
         let base = Prng::seed_from_u64(cfg.seed);
         let denom = model.write_verify_all_cost(&mut base.fork(u64::MAX)) as f64;
         let ranking = SwimSelector.rank(&SelectionInputs::new(&sens, &mags), None);
-        parallel_map(runs, threads, &base, |_, mut run_rng| {
-            let mut network = model.network_clone();
-            cfg.fractions
-                .iter()
-                .map(|&fraction| {
-                    let mask = mask_top_fraction(&ranking, fraction);
-                    let (weights, summary) = model.program_weights(Some(&mask), &mut run_rng);
-                    network.set_device_weights(&weights);
-                    let acc = network.accuracy(data.images(), data.labels(), cfg.eval_batch);
-                    (acc, summary.verify_pulses as f64 / denom)
-                })
-                .collect::<Vec<_>>()
-        })
+        parallel_map_with(
+            runs,
+            threads,
+            &base,
+            || (),
+            |(), _, mut run_rng| {
+                let mut network = model.network_clone();
+                cfg.fractions
+                    .iter()
+                    .map(|&fraction| {
+                        let mask = mask_top_fraction(&ranking, fraction);
+                        let (weights, summary) = model.program_weights(Some(&mask), &mut run_rng);
+                        network.set_device_weights(&weights);
+                        let acc = network.accuracy(data.images(), data.labels(), cfg.eval_batch);
+                        (acc, summary.verify_pulses as f64 / denom)
+                    })
+                    .collect::<Vec<_>>()
+            },
+        )
     });
     if let (Some(s), Some(c)) = (scratch, clone_per_run) {
         println!(

@@ -10,7 +10,7 @@
 use crate::prep::Prepared;
 use swim_core::insitu::{insitu_training, InsituConfig};
 use swim_core::montecarlo::{
-    aggregate_sweep_rows, nwc_sweep_outcome, parallel_map, PanicPolicy, RunFault, SweepConfig,
+    aggregate_sweep_rows, nwc_sweep_outcome, parallel_map_with, PanicPolicy, RunFault, SweepConfig,
     SweepPoint,
 };
 use swim_core::report::{fmt_mean_std, Table};
@@ -213,14 +213,20 @@ pub fn run_methods(
         let test = &prepared.test;
         // Fork by *global* run index (the provided fork is local), so a
         // shard reproduces exactly its rows of the unsharded baseline.
-        parallel_map(cfg.runs, cfg.threads, &base, |r, _| {
-            let mut rng = base.fork((cfg.run_offset + r) as u64);
-            let mut local = model.clone();
-            insitu_training(&mut local, &loss, train, test, &insitu_cfg, &mut rng)
-                .into_iter()
-                .map(|p| (p.nwc, p.accuracy))
-                .collect::<Vec<(f64, f64)>>()
-        })
+        parallel_map_with(
+            cfg.runs,
+            cfg.threads,
+            &base,
+            || (),
+            |(), r, _| {
+                let mut rng = base.fork((cfg.run_offset + r) as u64);
+                let mut local = model.clone();
+                insitu_training(&mut local, &loss, train, test, &insitu_cfg, &mut rng)
+                    .into_iter()
+                    .map(|p| (p.nwc, p.accuracy))
+                    .collect::<Vec<(f64, f64)>>()
+            },
+        )
     } else {
         Vec::new()
     };

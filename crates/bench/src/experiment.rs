@@ -876,7 +876,7 @@ fn run_calibration(spec: &ExperimentSpec, opts: &RunOptions, collector: &mut Col
 /// comparison, calibration-set-size study.
 fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Collector) {
     use swim_core::algorithm::selective_write_verify;
-    use swim_core::montecarlo::{nwc_sweep, PanicPolicy, SweepConfig};
+    use swim_core::montecarlo::{nwc_sweep_outcome, PanicPolicy, SweepConfig};
     use swim_core::select::{SelectionInputs, Selector, SwimSelector};
 
     let sigma = spec.device.sigmas[0];
@@ -950,15 +950,17 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
         on_panic: PanicPolicy::FailFast,
     };
     let with_tb =
-        nwc_sweep(&prepared.model, &SwimSelector, &sens, &mags, &prepared.test, &sweep_cfg);
-    let without_tb = nwc_sweep(
+        nwc_sweep_outcome(&prepared.model, &SwimSelector, &sens, &mags, &prepared.test, &sweep_cfg)
+            .points;
+    let without_tb = nwc_sweep_outcome(
         &prepared.model,
         &SwimNoTieBreakSelector,
         &sens,
         &mags,
         &prepared.test,
         &sweep_cfg,
-    );
+    )
+    .points;
     let mut table = Table::new(
         "magnitude tie-break ablation (SWIM ranking, accuracy %)",
         &["NWC", "with |w| tie-break", "without (index order)"],
@@ -1021,8 +1023,15 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
             run_offset: 0,
             on_panic: PanicPolicy::FailFast,
         };
-        let pts =
-            nwc_sweep(&prepared.model, &SwimSelector, &sub_sens, &mags, &prepared.test, &sweep_cfg);
+        let pts = nwc_sweep_outcome(
+            &prepared.model,
+            &SwimSelector,
+            &sub_sens,
+            &mags,
+            &prepared.test,
+            &sweep_cfg,
+        )
+        .points;
         table.push_row_owned(vec![
             format!("{n}"),
             format!("{agreement:.3}"),

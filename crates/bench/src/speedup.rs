@@ -13,7 +13,7 @@ use swim_core::montecarlo::SweepPoint;
 /// points. Returns `None` if the curve never reaches the target.
 ///
 /// Assumes `points` are sorted by NWC (as produced by
-/// [`swim_core::montecarlo::nwc_sweep`]).
+/// [`swim_core::montecarlo::nwc_sweep_outcome`]).
 ///
 /// # Example
 ///

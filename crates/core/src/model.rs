@@ -291,7 +291,7 @@ impl QuantizedModel {
 /// clone plus the programming buffers and the activation arena, reused
 /// for every run the worker executes.
 ///
-/// Before this existed, `nwc_sweep` cloned the full network and
+/// Before this existed, the sweep cloned the full network and
 /// allocated fresh code/weight/mask vectors for *every run* — with 3,000
 /// runs that dominated the harness. A worker now pays the clone once;
 /// each run overwrites every device weight via
@@ -330,29 +330,6 @@ impl EvalScratch {
             ranking: Vec::new(),
             arena: ActivationArena::new(),
         }
-    }
-
-    /// Programs the model with the scratch's mask (all weights when
-    /// `use_mask` is false) and loads the noisy weights into the
-    /// scratch network. Returns the pulse accounting.
-    pub fn program_and_load(
-        &mut self,
-        model: &QuantizedModel,
-        use_mask: bool,
-        rng: &mut Prng,
-    ) -> ProgramSummary {
-        let selection = if use_mask { Some(&self.mask[..]) } else { None };
-        let summary =
-            model.program_weights_into(selection, rng, &mut self.codes, &mut self.weights);
-        self.network.set_device_weights(&self.weights);
-        summary
-    }
-
-    /// Scores the currently-loaded network on `eval`, drawing every
-    /// activation from the scratch's arena (bit-identical to
-    /// [`swim_nn::Network::accuracy`], allocation-free once warm).
-    pub fn accuracy(&mut self, eval: &Dataset, batch: usize) -> f64 {
-        self.network.accuracy_with(eval.images(), eval.labels(), batch, &mut self.arena)
     }
 }
 

@@ -15,49 +15,28 @@ use swim_data::Dataset;
 use swim_tensor::stats::Running;
 use swim_tensor::Prng;
 
-/// Runs `f(run_index, rng)` for `runs` independent runs across
-/// `threads` worker threads, preserving result order.
-///
-/// Workers pull *chunks* of the result vector from a queue and write
-/// into their disjoint slices directly — there is no shared lock on the
-/// results, so replication throughput scales with cores. Run `r` always
-/// draws from `base.fork(r)`, so the output is bit-identical for every
-/// `threads` setting.
-///
-/// `runs == 0` returns an empty vector without spawning any workers.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero (use 1 for serial execution), or if `f`
-/// panics for some run — in that case the panic is propagated with the
-/// offending run index and the worker's panic message.
-pub fn parallel_map<T, F>(runs: usize, threads: usize, base: &Prng, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Prng) -> T + Sync,
-{
-    parallel_map_with(runs, threads, base, || (), |(), r, rng| f(r, rng))
-}
-
-/// [`parallel_map`] with per-worker scratch state.
+/// Runs `f(state, run_index, rng)` for `runs` independent runs across
+/// `threads` worker threads, preserving result order — an adapter over
+/// [`parallel_fill_rows_isolated`] with one-slot rows, run offset 0 and
+/// [`PanicPolicy::FailFast`].
 ///
 /// `init` runs once on each worker thread (and once total on the serial
 /// path); the resulting state is passed `&mut` to every run that worker
-/// executes. This is how the sweep harness reuses one cloned network and
-/// one set of programming buffers across a worker's whole share of the
-/// Monte Carlo budget instead of reallocating per run.
+/// executes (pass `|| ()` when no scratch is needed). This is how a
+/// harness reuses one cloned network and one set of buffers across a
+/// worker's whole share of the Monte Carlo budget instead of
+/// reallocating per run.
 ///
-/// The schedule-independence contract is unchanged — run `r` still draws
-/// only from `base.fork(r)` — but it now also requires `f` to be
-/// *state-oblivious*: the value returned for run `r` must not depend on
-/// what previous runs left in the scratch (e.g. every buffer `f` reads
-/// is fully overwritten first). Under that condition results are
-/// bit-identical for every `threads` value.
+/// Run `r` always draws from `base.fork(r)`. Provided `f` is
+/// *state-oblivious* — the value returned for run `r` does not depend
+/// on what previous runs left in the scratch — the output is
+/// bit-identical for every `threads` setting. `runs == 0` returns an
+/// empty vector without spawning any workers.
 ///
 /// # Panics
 ///
 /// Panics if `threads` is zero, or if `f` panics for some run — the
-/// panic is propagated with the offending run index.
+/// panic is propagated with the lowest panicking run index.
 pub fn parallel_map_with<T, S, I, F>(
     runs: usize,
     threads: usize,
@@ -70,126 +49,19 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, Prng) -> T + Sync,
 {
-    assert!(threads > 0, "threads must be positive");
-    if runs == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(runs);
-    if workers == 1 {
-        let mut state = init();
-        return (0..runs)
-            .map(|r| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut state, r, base.fork(r as u64))))
-                    .unwrap_or_else(|payload| {
-                        panic!("parallel_map: run {r} panicked: {}", panic_detail(payload.as_ref()))
-                    })
-            })
-            .collect();
-    }
-
     let mut slots: Vec<Option<T>> = (0..runs).map(|_| None).collect();
-    // Chunks several times smaller than a fair share keep the queue
-    // balancing uneven run times without lock traffic per run.
-    let chunk = (runs / (workers * 4)).max(1);
-    let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let abort = AtomicBool::new(false);
-
-    let (tx, rx) = mpsc::channel();
-    for (ci, slice) in slots.chunks_mut(chunk).enumerate() {
-        tx.send((ci * chunk, slice)).expect("receiver alive");
-    }
-    drop(tx);
-    let queue = Mutex::new(rx);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let next = queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
-                    let Ok((start, slice)) = next else { break };
-                    for (offset, slot) in slice.iter_mut().enumerate() {
-                        let r = start + offset;
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(&mut state, r, base.fork(r as u64))
-                        })) {
-                            Ok(value) => *slot = Some(value),
-                            Err(payload) => {
-                                let mut guard = first_panic
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                                // Keep the lowest run index for a stable message.
-                                match &*guard {
-                                    Some((held, _)) if *held <= r => {}
-                                    _ => *guard = Some((r, payload)),
-                                }
-                                abort.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    // The receiver still holds borrows of `slots` chunks that were never
-    // claimed (abort path); drop it before consuming the results.
-    drop(queue);
-
-    if let Some((r, payload)) =
-        first_panic.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner())
-    {
-        panic!("parallel_map: run {r} panicked: {}", panic_detail(payload.as_ref()));
-    }
-    slots.into_iter().map(|slot| slot.expect("every run index was processed")).collect()
-}
-
-/// [`parallel_map_with`] writing results into a caller-provided flat
-/// row-major matrix instead of returning per-run values.
-///
-/// Run `r` receives the mutable row `out[r·row_len .. (r+1)·row_len]`
-/// and must fully overwrite it. This is the zero-allocation variant of
-/// the harness: the caller allocates the matrix once, so a run adds no
-/// per-run heap traffic (provided `f` itself is allocation-free — which
-/// the sweep closure is, see `tests/alloc_free.rs`). The
-/// schedule-independence contract is unchanged: run `r` draws only from
-/// `base.fork(r)`, so the matrix contents are bit-identical for every
-/// `threads` value.
-///
-/// # Panics
-///
-/// Panics if `threads` or `row_len` is zero, if
-/// `out.len() != runs · row_len`, or if `f` panics for some run — the
-/// panic is propagated with the offending run index.
-pub fn parallel_fill_rows<P, S, I, F>(
-    runs: usize,
-    row_len: usize,
-    threads: usize,
-    base: &Prng,
-    out: &mut [P],
-    init: I,
-    f: F,
-) where
-    P: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, Prng, &mut [P]) + Sync,
-{
-    let faults = parallel_fill_rows_isolated(
+    parallel_fill_rows_isolated(
         runs,
-        row_len,
+        1,
         threads,
         base,
         0,
         PanicPolicy::FailFast,
-        out,
+        &mut slots,
         init,
-        f,
+        |state, r, rng, row| row[0] = Some(f(state, r, rng)),
     );
-    debug_assert!(faults.is_empty(), "fail-fast never returns faults");
+    slots.into_iter().map(|slot| slot.expect("every run index was processed")).collect()
 }
 
 /// What the harness does when one Monte Carlo run panics.
@@ -233,24 +105,40 @@ pub struct RunFault {
     pub message: String,
 }
 
-/// [`parallel_fill_rows`] with a global run offset and a panic policy.
+/// The Monte Carlo executor: runs `f(state, run, rng, row)` for `runs`
+/// independent runs across `threads` worker threads, each run writing
+/// its row of a caller-provided flat row-major matrix.
 ///
-/// Local run `r` (row `r` of `out`) draws from
+/// Local run `r` receives the mutable row `out[r·row_len ..
+/// (r+1)·row_len]`, which it must fully overwrite, and draws from
 /// `base.fork(run_offset + r)` — the stream the same global run would
 /// use in an unsharded sweep — so a seed-range shard fills exactly the
 /// rows `run_offset .. run_offset + runs` of the full matrix,
-/// bit-identically.
+/// bit-identically. `init` runs once per worker thread, as in
+/// [`parallel_map_with`], under the same state-obliviousness contract.
+///
+/// Workers pull chunks of whole rows from a queue in row order and write
+/// into their disjoint slices directly — there is no shared lock on the
+/// results, so throughput scales with cores, and the caller allocates
+/// the matrix once, so a run adds no heap traffic of its own (provided
+/// `f` is allocation-free — which the sweep closure is, see
+/// `tests/alloc_free.rs`).
 ///
 /// Under [`PanicPolicy::Isolate`] a panicking run is recorded (global
 /// index plus rendered payload) instead of aborting; its row keeps
 /// whatever the caller prefilled. The returned faults are sorted by run
-/// index. The happy path allocates nothing for the fault machinery, so
-/// the zero-allocation contract of [`parallel_fill_rows`] is preserved.
+/// index. The happy path allocates nothing for the fault machinery.
 ///
 /// # Panics
 ///
-/// As [`parallel_fill_rows`]; under [`PanicPolicy::FailFast`] a
-/// panicking run is propagated with its global index and message.
+/// Panics if `threads` or `row_len` is zero or if
+/// `out.len() != runs · row_len`. Under [`PanicPolicy::FailFast`] a
+/// panicking run stops workers from claiming further chunks and is
+/// propagated as `montecarlo: run {r} panicked: {detail}` with the
+/// lowest panicking global index: chunks are claimed in order and a
+/// claimed chunk runs until its first panic, so every run below the
+/// reported one completed — the message is the same for every thread
+/// count.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_fill_rows_isolated<P, S, I, F>(
     runs: usize,
@@ -275,29 +163,6 @@ where
         return Vec::new();
     }
     let workers = threads.min(runs);
-    if workers == 1 {
-        let mut faults = Vec::new();
-        let mut state = init();
-        for (local, row) in out.chunks_mut(row_len).enumerate() {
-            let r = run_offset + local;
-            match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                f(&mut state, r, base.fork(r as u64), row)
-            })) {
-                Ok(()) => {}
-                Err(payload) => {
-                    let message = panic_detail(payload.as_ref());
-                    match policy {
-                        PanicPolicy::FailFast => {
-                            panic!("parallel_fill_rows: run {r} panicked: {message}")
-                        }
-                        PanicPolicy::Isolate => faults.push(RunFault { run: r, message }),
-                    }
-                }
-            }
-        }
-        return faults;
-    }
-
     // Chunks several times smaller than a fair share keep the queue
     // balancing uneven run times without lock traffic per run. Chunk
     // boundaries stay on whole rows.
@@ -312,47 +177,49 @@ where
     drop(tx);
     let queue = Mutex::new(rx);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let next = queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
-                    let Ok((start_row, slice)) = next else { break };
-                    for (offset, row) in slice.chunks_mut(row_len).enumerate() {
-                        let r = run_offset + start_row + offset;
-                        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            f(&mut state, r, base.fork(r as u64), row)
-                        })) {
-                            Ok(()) => {}
-                            Err(payload) => {
-                                let message = panic_detail(payload.as_ref());
-                                collected
-                                    .lock()
-                                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                                    .push(RunFault { run: r, message });
-                                if policy == PanicPolicy::FailFast {
-                                    abort.store(true, Ordering::Relaxed);
-                                    return;
-                                }
-                            }
-                        }
-                    }
+    let work = || {
+        let mut state = init();
+        while !abort.load(Ordering::Relaxed) {
+            let next = queue.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).recv();
+            let Ok((start_row, slice)) = next else { break };
+            for (offset, row) in slice.chunks_mut(row_len).enumerate() {
+                let r = run_offset + start_row + offset;
+                let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    f(&mut state, r, base.fork(r as u64), row)
+                })) else {
+                    continue;
+                };
+                let message = panic_detail(payload.as_ref());
+                collected
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner())
+                    .push(RunFault { run: r, message });
+                if policy == PanicPolicy::FailFast {
+                    abort.store(true, Ordering::Relaxed);
+                    return;
                 }
-            });
+            }
         }
-    });
+    };
+    if workers == 1 {
+        work();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(work);
+            }
+        });
+    }
 
+    // The receiver still holds borrows of `out` chunks that were never
+    // claimed (abort path); drop it before returning.
     drop(queue);
 
     let mut faults = collected.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
     faults.sort_by_key(|f| f.run);
     if policy == PanicPolicy::FailFast {
         if let Some(first) = faults.first() {
-            panic!("parallel_fill_rows: run {} panicked: {}", first.run, first.message);
+            panic!("montecarlo: run {} panicked: {}", first.run, first.message);
         }
     }
     faults
@@ -441,7 +308,25 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Sweeps accuracy versus NWC for one selection strategy.
+/// The complete result of one sweep: the aggregated curve, the raw
+/// per-run matrix it was aggregated from, and any isolated faults.
+#[derive(Debug, Clone)]
+pub struct SweepOutcome {
+    /// Aggregated statistics per fraction.
+    pub points: Vec<SweepPoint>,
+    /// Row-major `runs × fractions` matrix of `(accuracy %, measured
+    /// NWC)` exactly as each run produced it — the mergeable form: rows
+    /// from different seed-range shards concatenate into the unsharded
+    /// matrix. Faulted rows stay `(0.0, 0.0)`.
+    pub raw: Vec<(f64, f64)>,
+    /// Runs that panicked under [`PanicPolicy::Isolate`] (global
+    /// indices, sorted). Empty under fail-fast.
+    pub faults: Vec<RunFault>,
+}
+
+/// Sweeps accuracy versus NWC for one selection strategy, returning the
+/// aggregated points with the raw per-run matrix and isolated faults —
+/// the building block for seed-range sharding and `swim merge`.
 ///
 /// For deterministic selectors the ranking is computed once (it is a
 /// property of the trained model); for stochastic selectors
@@ -455,36 +340,6 @@ pub fn num_threads() -> usize {
 /// # Panics
 ///
 /// Panics if `sensitivities`/`magnitudes` lengths mismatch the model.
-pub fn nwc_sweep(
-    model: &QuantizedModel,
-    selector: &dyn Selector,
-    sensitivities: &[f32],
-    magnitudes: &[f32],
-    eval: &Dataset,
-    config: &SweepConfig,
-) -> Vec<SweepPoint> {
-    nwc_sweep_outcome(model, selector, sensitivities, magnitudes, eval, config).points
-}
-
-/// The complete result of one sweep: the aggregated curve, the raw
-/// per-run matrix it was aggregated from, and any isolated faults.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Aggregated statistics per fraction (what [`nwc_sweep`] returns).
-    pub points: Vec<SweepPoint>,
-    /// Row-major `runs × fractions` matrix of `(accuracy %, measured
-    /// NWC)` exactly as each run produced it — the mergeable form: rows
-    /// from different seed-range shards concatenate into the unsharded
-    /// matrix. Faulted rows stay `(0.0, 0.0)`.
-    pub raw: Vec<(f64, f64)>,
-    /// Runs that panicked under [`PanicPolicy::Isolate`] (global
-    /// indices, sorted). Empty under fail-fast.
-    pub faults: Vec<RunFault>,
-}
-
-/// [`nwc_sweep`] returning the raw per-run matrix and isolated faults
-/// alongside the aggregated points — the building block for seed-range
-/// sharding and `swim merge`.
 pub fn nwc_sweep_outcome(
     model: &QuantizedModel,
     selector: &dyn Selector,
@@ -615,8 +470,8 @@ mod tests {
     #[test]
     fn parallel_map_is_schedule_independent() {
         let base = Prng::seed_from_u64(5);
-        let serial = parallel_map(16, 1, &base, |r, mut rng| (r, rng.next_u64()));
-        let parallel = parallel_map(16, 8, &base, |r, mut rng| (r, rng.next_u64()));
+        let serial = parallel_map_with(16, 1, &base, || (), |(), r, mut rng| (r, rng.next_u64()));
+        let parallel = parallel_map_with(16, 8, &base, || (), |(), r, mut rng| (r, rng.next_u64()));
         assert_eq!(serial, parallel);
         // Results arrive in run order.
         for (i, (r, _)) in serial.iter().enumerate() {
@@ -627,11 +482,11 @@ mod tests {
     #[test]
     fn parallel_map_zero_runs_returns_empty() {
         let base = Prng::seed_from_u64(1);
-        let out: Vec<u64> = parallel_map(0, 1, &base, |_, mut rng| rng.next_u64());
+        let out: Vec<u64> = parallel_map_with(0, 1, &base, || (), |(), _, mut rng| rng.next_u64());
         assert!(out.is_empty());
         // Must not spawn a worker (and certainly not panic) when there
         // are more threads than runs.
-        let out: Vec<u64> = parallel_map(0, 8, &base, |_, mut rng| rng.next_u64());
+        let out: Vec<u64> = parallel_map_with(0, 8, &base, || (), |(), _, mut rng| rng.next_u64());
         assert!(out.is_empty());
     }
 
@@ -639,29 +494,43 @@ mod tests {
     #[should_panic(expected = "run 3 panicked: boom at 3")]
     fn parallel_map_propagates_panic_with_run_index() {
         let base = Prng::seed_from_u64(2);
-        let _ = parallel_map(8, 4, &base, |r, _| {
-            if r == 3 {
-                panic!("boom at {r}");
-            }
-            r
-        });
+        let _ = parallel_map_with(
+            8,
+            4,
+            &base,
+            || (),
+            |(), r, _| {
+                if r == 3 {
+                    panic!("boom at {r}");
+                }
+                r
+            },
+        );
     }
 
     #[test]
-    #[should_panic(expected = "parallel_map: run 5 panicked: worker exploded")]
+    #[should_panic(expected = "montecarlo: run 5 panicked: worker exploded")]
     fn parallel_map_propagates_panic_serially_too() {
         let base = Prng::seed_from_u64(3);
-        let _ = parallel_map(8, 1, &base, |r, _| {
-            assert!(r != 5, "worker exploded");
-            r
-        });
+        let _ = parallel_map_with(
+            8,
+            1,
+            &base,
+            || (),
+            |(), r, _| {
+                assert!(r != 5, "worker exploded");
+                r
+            },
+        );
     }
 
     #[test]
     fn parallel_map_more_threads_than_runs() {
         let base = Prng::seed_from_u64(4);
-        let serial: Vec<u64> = parallel_map(3, 1, &base, |_, mut rng| rng.next_u64());
-        let wide: Vec<u64> = parallel_map(3, 64, &base, |_, mut rng| rng.next_u64());
+        let serial: Vec<u64> =
+            parallel_map_with(3, 1, &base, || (), |(), _, mut rng| rng.next_u64());
+        let wide: Vec<u64> =
+            parallel_map_with(3, 64, &base, || (), |(), _, mut rng| rng.next_u64());
         assert_eq!(serial, wide);
     }
 
@@ -699,7 +568,7 @@ mod tests {
     #[test]
     fn parallel_map_distinct_streams() {
         let base = Prng::seed_from_u64(6);
-        let outs = parallel_map(8, 4, &base, |_, mut rng| rng.next_u64());
+        let outs = parallel_map_with(8, 4, &base, || (), |(), _, mut rng| rng.next_u64());
         let mut dedup = outs.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -757,7 +626,7 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let sweep = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg);
+        let sweep = nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &cfg).points;
         assert_eq!(sweep.len(), 3);
         assert!(sweep[0].nwc < 1e-9);
         assert!(sweep[1].nwc > 0.3 && sweep[1].nwc < 0.7);
@@ -765,7 +634,7 @@ mod tests {
         // Full verification should be at least as accurate as none.
         assert!(sweep[2].accuracy.mean() >= sweep[0].accuracy.mean() - 2.0);
 
-        let again = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg);
+        let again = nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &cfg).points;
         assert_eq!(sweep[1].accuracy.mean(), again[1].accuracy.mean());
     }
 
@@ -789,7 +658,7 @@ mod tests {
                     seed: 11,
                     ..Default::default()
                 };
-                curves.push(nwc_sweep(&model, strategy, &sens, &mags, &data, &cfg));
+                curves.push(nwc_sweep_outcome(&model, strategy, &sens, &mags, &data, &cfg).points);
             }
             for (a, b) in curves[0].iter().zip(&curves[1]) {
                 assert_eq!(a.accuracy.mean(), b.accuracy.mean(), "{}", strategy.name());
@@ -800,10 +669,8 @@ mod tests {
     }
 
     /// The arena-backed, buffer-reusing sweep must be bit-identical to a
-    /// naive clone-per-run harness built only from the original
-    /// allocating APIs (`program_network` + fresh-path `accuracy`) —
-    /// this pins the whole allocation-free refactor to the pre-arena
-    /// semantics.
+    /// naive clone-per-run harness (`program_network` + `accuracy` with a
+    /// cold arena) — worker scratch reuse never reaches the statistics.
     #[test]
     fn sweep_matches_naive_reference_harness() {
         let (mut model, data) = trained();
@@ -817,7 +684,7 @@ mod tests {
             seed: 13,
             ..Default::default()
         };
-        let sweep = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg);
+        let sweep = nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &cfg).points;
 
         let base = Prng::seed_from_u64(cfg.seed);
         let denom = model.write_verify_all_cost(&mut base.fork(u64::MAX)) as f64;
@@ -882,7 +749,7 @@ mod tests {
             seed: 17,
             ..Default::default()
         };
-        for point in nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &cfg) {
+        for point in nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &cfg).points {
             assert!(point.accuracy_min <= point.accuracy_p05 + 1e-12, "{point:?}");
             assert!(point.accuracy_p05 <= point.accuracy.mean() + 1e-9, "{point:?}");
             assert!(point.accuracy_min >= 0.0 && point.accuracy_p05 <= 100.0, "{point:?}");
@@ -890,16 +757,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fill_rows_matches_parallel_map() {
+    fn parallel_fill_rows_isolated_matches_parallel_map_with() {
         let base = Prng::seed_from_u64(21);
         let mapped: Vec<[u64; 2]> =
-            parallel_map(10, 4, &base, |r, mut rng| [r as u64, rng.next_u64()]);
+            parallel_map_with(10, 4, &base, || (), |(), r, mut rng| [r as u64, rng.next_u64()]);
         let mut filled = vec![0u64; 20];
-        parallel_fill_rows(
+        parallel_fill_rows_isolated(
             10,
             2,
             4,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut filled,
             || (),
             |(), r, mut rng, row| {
@@ -912,11 +781,13 @@ mod tests {
         }
         // And the serial path agrees with the threaded one.
         let mut serial = vec![0u64; 20];
-        parallel_fill_rows(
+        parallel_fill_rows_isolated(
             10,
             2,
             1,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut serial,
             || (),
             |(), r, mut rng, row| {
@@ -928,21 +799,73 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parallel_fill_rows: run 4 panicked: fill boom")]
+    #[should_panic(expected = "montecarlo: run 4 panicked: fill boom")]
     fn parallel_fill_rows_propagates_panic() {
         let base = Prng::seed_from_u64(22);
         let mut out = vec![0u8; 8];
-        parallel_fill_rows(
+        parallel_fill_rows_isolated(
             8,
             1,
             4,
             &base,
+            0,
+            PanicPolicy::FailFast,
             &mut out,
             || (),
             |(), r, _, _| {
                 assert!(r != 4, "fill boom");
             },
         );
+    }
+
+    /// Fail-fast is deterministic when several runs panic: whatever the
+    /// thread count and whichever worker panics first, the propagated
+    /// panic names the lowest panicking run. Run 2 is slowed down so the
+    /// later panics (5, 6) usually land first.
+    #[test]
+    fn fail_fast_names_the_lowest_panicking_run() {
+        let base = Prng::seed_from_u64(24);
+        let run = |r: usize| {
+            if r == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            if matches!(r, 2 | 5 | 6) {
+                panic!("poisoned run {r}");
+            }
+            r
+        };
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            payload.downcast_ref::<String>().cloned().expect("formatted panic message")
+        };
+        for threads in [1usize, 2, 3, 8] {
+            let mapped = std::panic::catch_unwind(|| {
+                parallel_map_with(12, threads, &base, || (), |(), r, _| run(r))
+            });
+            let filled = std::panic::catch_unwind(|| {
+                let mut out = vec![0usize; 12];
+                parallel_fill_rows_isolated(
+                    12,
+                    1,
+                    threads,
+                    &base,
+                    0,
+                    PanicPolicy::FailFast,
+                    &mut out,
+                    || (),
+                    |(), r, _, row| row[0] = run(r),
+                );
+            });
+            for (entry, outcome) in
+                [("parallel_map_with", mapped.map(|_| ())), ("parallel_fill_rows_isolated", filled)]
+            {
+                let payload = outcome.expect_err("a run panicked");
+                assert_eq!(
+                    message(payload),
+                    "montecarlo: run 2 panicked: poisoned run 2",
+                    "{entry}, threads = {threads}"
+                );
+            }
+        }
     }
 
     /// A seed-range shard fills exactly the matching rows of the full
@@ -1094,8 +1017,8 @@ mod tests {
             seed: 8,
             ..Default::default()
         };
-        let a = nwc_sweep(&model, &RandomSelector, &sens, &mags, &data, &cfg);
-        let b = nwc_sweep(&model, &RandomSelector, &sens, &mags, &data, &cfg);
+        let a = nwc_sweep_outcome(&model, &RandomSelector, &sens, &mags, &data, &cfg).points;
+        let b = nwc_sweep_outcome(&model, &RandomSelector, &sens, &mags, &data, &cfg).points;
         assert_eq!(a[0].accuracy.mean(), b[0].accuracy.mean());
         assert!(a[0].accuracy.std() >= 0.0);
     }

@@ -2,7 +2,7 @@
 //! token — the execution substrate of the experiment service.
 //!
 //! The one-shot CLI spins up scoped threads per sweep
-//! ([`crate::montecarlo::parallel_map`]); a long-running service cannot
+//! ([`crate::montecarlo::parallel_fill_rows_isolated`]); a long-running service cannot
 //! afford a thread spawn-and-join cycle per request, and wants the
 //! blocks of *many* concurrent jobs multiplexed over one fixed set of
 //! workers. [`WorkerPool`] is that set: `n` named threads draining one

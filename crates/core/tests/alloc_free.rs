@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use swim_cim::DeviceConfig;
 use swim_core::model::{EvalScratch, QuantizedModel};
-use swim_core::montecarlo::{nwc_sweep, SweepConfig};
+use swim_core::montecarlo::{nwc_sweep_outcome, SweepConfig};
 use swim_core::select::{mask_top_fraction_into, SwimSelector};
 use swim_data::Dataset;
 use swim_nn::layers::{
@@ -89,18 +89,21 @@ fn steady_state_sweep_iterations_allocate_nothing() {
     let base = Prng::seed_from_u64(5);
     let mut scratch = EvalScratch::new(&model);
 
-    // One full sweep iteration, exactly as `nwc_sweep` runs it per
-    // Monte Carlo run: per fraction, build the mask, program the device
-    // model into the scratch network, and score with the arena.
+    // One full sweep iteration, making the same calls `nwc_sweep_outcome`
+    // makes per Monte Carlo run: per fraction, build the mask, program
+    // the device model, load the weights into the scratch network, and
+    // score with the arena.
     let iteration = |scratch: &mut EvalScratch, run: u64| {
         let mut rng = base.fork(run);
         let mut acc_sum = 0.0;
+        let EvalScratch { network, mask, codes, weights, arena, .. } = scratch;
         for &fraction in &fractions {
-            mask_top_fraction_into(&ranking, fraction, &mut scratch.mask);
-            scratch.program_and_load(&model, true, &mut rng);
+            mask_top_fraction_into(&ranking, fraction, mask);
+            model.program_weights_into(Some(&mask[..]), &mut rng, codes, weights);
+            network.set_device_weights(weights);
             // Eval batch 16 on 24 images: the final partial batch
             // exercises the shrink-then-grow buffer reuse.
-            acc_sum += scratch.accuracy(&data, 16);
+            acc_sum += network.accuracy_with(data.images(), data.labels(), 16, arena);
         }
         acc_sum
     };
@@ -154,7 +157,7 @@ fn steady_state_sweep_iterations_allocate_nothing() {
     // The accuracies are real numbers, not optimized away.
     assert!(warm > 0.0 && measured > 0.0);
 
-    // Second gate: a full serial `nwc_sweep` call must allocate a
+    // Second gate: a full serial `nwc_sweep_outcome` call must allocate a
     // run-count-independent number of times — i.e. the per-run marginal
     // allocation count is exactly zero. (Sizes of the up-front
     // allocations differ with the run count; the number of allocation
@@ -171,16 +174,18 @@ fn steady_state_sweep_iterations_allocate_nothing() {
         on_panic: swim_core::montecarlo::PanicPolicy::FailFast,
     };
     // Warm sweep (thread-locals, lazy statics).
-    let _ = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(2));
+    let _ = nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(2));
 
     // Same cross-thread-noise caveat as above: accept the first of a few
     // attempts where the two counts agree.
     let mut deltas = (0u64, 0u64);
     for _ in 0..5 {
         let c0 = alloc_events();
-        let short = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(4));
+        let short =
+            nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(4)).points;
         let c1 = alloc_events();
-        let long = nwc_sweep(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(24));
+        let long =
+            nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &data, &sweep_cfg(24)).points;
         let c2 = alloc_events();
         assert_eq!(short.len(), 3);
         assert_eq!(long.len(), 3);

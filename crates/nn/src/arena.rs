@@ -1,4 +1,4 @@
-//! Recycled activation buffers for the allocation-free forward path.
+//! Recycled activation buffers for the forward pass.
 
 use swim_tensor::Tensor;
 
@@ -18,10 +18,10 @@ use swim_tensor::Tensor;
 ///
 /// Buffers are resized in place ([`Tensor::reset_zeroed`]), so once the
 /// pool has seen the widest activation of a network, a steady-state
-/// forward pass performs **zero heap allocations**. Results are
-/// bit-identical to the fresh-allocation [`crate::layer::Layer::forward`]
-/// path: both run the same compute kernels over identically-zeroed
-/// output buffers.
+/// forward pass performs **zero heap allocations**. Arena state never
+/// reaches the result: every layer fully overwrites the buffer it
+/// grabs, so a warm arena gives the same bits as the cold one that
+/// [`crate::layer::Layer::forward`] uses.
 ///
 /// # Example
 ///

@@ -42,25 +42,22 @@ pub enum Mode {
 /// networks can be shared immutably across Monte Carlo worker threads
 /// and cloned into them.
 pub trait Layer: Send + Sync {
-    /// Computes the layer output for a batch.
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+    /// Computes the layer output for a batch, with the output written
+    /// into a buffer recycled from `arena`.
+    ///
+    /// This is the layer's one forward body. The returned tensor's
+    /// storage came from the arena; the caller recycles it
+    /// ([`ActivationArena::recycle`]) once consumed so later layers (and
+    /// later forward passes) reuse it. Implementations must fully
+    /// overwrite the grabbed buffer and must not let its previous
+    /// contents or shape reach the result: a cold arena and a warm one
+    /// give bit-identical outputs and backward caches.
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor;
 
-    /// [`Layer::forward`] with the output written into a buffer recycled
-    /// from `arena` — the allocation-free forward path.
-    ///
-    /// The returned tensor's storage came from the arena; the caller
-    /// recycles it ([`ActivationArena::recycle`]) once consumed so later
-    /// layers (and later forward passes) reuse it. Results must be
-    /// bit-identical to [`Layer::forward`]; backward passes see the same
-    /// cached activations either way.
-    ///
-    /// The default implementation falls back to the fresh-allocation
-    /// `forward`, so exotic layers stay correct without implementing the
-    /// arena path (they just keep allocating). Every built-in layer
-    /// overrides it.
-    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
-        let _ = arena;
-        self.forward(input, mode)
+    /// [`Layer::forward_into`] with a cold arena: every activation buffer
+    /// is freshly allocated. Built-in layers do not override it.
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_into(input, mode, &mut ActivationArena::new())
     }
 
     /// Pushes the loss gradient from output to input, accumulating
@@ -128,8 +125,16 @@ mod tests {
     }
 
     impl Layer for Affine {
-        fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-            input.map(|x| x + self.p.value.data()[0])
+        fn forward_into(
+            &mut self,
+            input: &Tensor,
+            _mode: Mode,
+            arena: &mut ActivationArena,
+        ) -> Tensor {
+            let mut out = arena.grab();
+            out.copy_from(input);
+            out.map_inplace(|x| x + self.p.value.data()[0]);
+            out
         }
         fn backward(&mut self, grad_output: &Tensor) -> Tensor {
             self.p.grad.data_mut()[0] += grad_output.sum() as f32;

@@ -88,30 +88,19 @@ impl SmoothActivation {
             Smooth::Sigmoid => g * (1.0 - g) * (1.0 - 2.0 * g),
         }
     }
-
-    /// The shared forward body: `out` is completely overwritten and the
-    /// cached output copy reuses its previous allocation.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
-        out.copy_from(input);
-        out.map_inplace(|x| self.apply(x));
-        match &mut self.output {
-            Some(cached) => cached.copy_from(out),
-            slot => *slot = Some(out.clone()),
-        }
-        self.grad_output = None; // stale gradients must not leak
-    }
 }
 
 impl Layer for SmoothActivation {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        out.copy_from(input);
+        out.map_inplace(|x| self.apply(x));
+        // The cached output copy reuses its previous allocation.
+        match &mut self.output {
+            Some(cached) => cached.copy_from(&out),
+            slot => *slot = Some(out.clone()),
+        }
+        self.grad_output = None; // stale gradients must not leak
         out
     }
 

@@ -47,14 +47,6 @@ impl ActQuant {
 }
 
 impl Layer for ActQuant {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        if self.unsigned {
-            swim_quant::fake_quant_unsigned(input, self.bits)
-        } else {
-            swim_quant::fake_quant(input, self.bits)
-        }
-    }
-
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         let mut out = arena.grab();
         if self.unsigned {

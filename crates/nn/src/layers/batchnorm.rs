@@ -78,11 +78,10 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
     }
+}
 
-    /// The shared forward body: `out` is completely overwritten; the
-    /// statistics scratch and the x̂/inv_std cache reuse their previous
-    /// allocations, so the evaluation path allocates nothing once warm.
-    fn forward_out(&mut self, input: &Tensor, mode: Mode, out: &mut Tensor) {
+impl Layer for BatchNorm2d {
+    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert_eq!(input.rank(), 4, "BatchNorm2d expects [N, C, H, W] input");
         assert_eq!(
             input.shape()[1],
@@ -147,7 +146,7 @@ impl BatchNorm2d {
         cache.inv_std.clear();
         cache.inv_std.extend(self.batch_var.iter().map(|&v| 1.0 / (v + eps).sqrt()));
         cache.x_hat.reset_zeroed(input.shape());
-        out.reset_zeroed(input.shape());
+        let mut out = arena.take(input.shape());
         {
             let id = input.data();
             let xh = cache.x_hat.data_mut();
@@ -170,19 +169,6 @@ impl BatchNorm2d {
                 }
             }
         }
-    }
-}
-
-impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, mode, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
-        let mut out = arena.grab();
-        self.forward_out(input, mode, &mut out);
         out
     }
 

@@ -158,8 +158,7 @@ impl Conv2d {
 
     /// Forward pass with an explicit chunk size (`chunk = 1` is the
     /// per-image lowering; results are bit-identical for every value).
-    /// `out` is completely overwritten — the shared body of both the
-    /// fresh-allocation and the arena forward paths.
+    /// `out` is completely overwritten.
     fn forward_impl(&mut self, input: &Tensor, chunk: usize, out: &mut Tensor) {
         let (n, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
         let geom = self.geometry(h, w);
@@ -221,45 +220,6 @@ impl Conv2d {
             Some(cached) => cached.copy_from(input),
             slot => *slot = Some(input.clone()),
         }
-    }
-
-    /// Validates the input and runs [`Conv2d::forward_impl`] at the
-    /// cap-derived chunk size — or, under `tune.mode = on`, at the
-    /// shape-keyed autotuned chunk (the candidates only move work
-    /// between identical per-item computations, so every choice is
-    /// bit-identical; see [`tune::resolve_custom`]).
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
-        assert_eq!(
-            input.shape()[1],
-            self.in_channels,
-            "Conv2d expected {} input channels, got {}",
-            self.in_channels,
-            input.shape()[1]
-        );
-        let geom = self.geometry(input.shape()[2], input.shape()[3]);
-        let n = input.shape()[0];
-        let spatial = geom.out_h() * geom.out_w();
-        let default_chunk = self.chunk_items(spatial, n);
-        let chunk = if tune::mode() == tune::TuneMode::On && n > 1 {
-            let widest = (self.in_channels * self.kernel * self.kernel).max(self.out_channels);
-            let mut candidates =
-                vec![default_chunk, 1, (default_chunk / 2).max(1), (default_chunk * 2).min(n), n];
-            candidates.retain(|&c| c >= 1 && c <= n);
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut bench_out = Tensor::zeros(&[0]);
-            tune::resolve_custom(
-                "im2col",
-                [spatial, widest, n, 0],
-                default_chunk,
-                &candidates,
-                |c| self.forward_impl(input, c, &mut bench_out),
-            )
-        } else {
-            default_chunk
-        };
-        self.forward_impl(input, chunk, out);
     }
 
     /// Shared chunked backward pass. `square` selects the second-order
@@ -356,15 +316,43 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+        assert_eq!(input.rank(), 4, "Conv2d expects [N, C, H, W] input");
+        assert_eq!(
+            input.shape()[1],
+            self.in_channels,
+            "Conv2d expected {} input channels, got {}",
+            self.in_channels,
+            input.shape()[1]
+        );
+        let geom = self.geometry(input.shape()[2], input.shape()[3]);
+        let n = input.shape()[0];
+        let spatial = geom.out_h() * geom.out_w();
+        // The cap-derived chunk size — or, under `tune.mode = on`, the
+        // shape-keyed autotuned chunk (the candidates only move work
+        // between identical per-item computations, so every choice is
+        // bit-identical; see `tune::resolve_custom`).
+        let default_chunk = self.chunk_items(spatial, n);
+        let chunk = if tune::mode() == tune::TuneMode::On && n > 1 {
+            let widest = (self.in_channels * self.kernel * self.kernel).max(self.out_channels);
+            let mut candidates =
+                vec![default_chunk, 1, (default_chunk / 2).max(1), (default_chunk * 2).min(n), n];
+            candidates.retain(|&c| c >= 1 && c <= n);
+            candidates.sort_unstable();
+            candidates.dedup();
+            let mut bench_out = Tensor::zeros(&[0]);
+            tune::resolve_custom(
+                "im2col",
+                [spatial, widest, n, 0],
+                default_chunk,
+                &candidates,
+                |c| self.forward_impl(input, c, &mut bench_out),
+            )
+        } else {
+            default_chunk
+        };
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        self.forward_impl(input, chunk, &mut out);
         out
     }
 

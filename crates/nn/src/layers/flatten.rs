@@ -28,14 +28,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        assert!(input.rank() >= 1, "Flatten expects a batched input");
-        let n = input.shape()[0];
-        let inner: usize = input.shape()[1..].iter().product();
-        remember_shape(&mut self.input_shape, input.shape());
-        input.clone().reshaped(&[n, inner])
-    }
-
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert!(input.rank() >= 1, "Flatten expects a batched input");
         let n = input.shape()[0];

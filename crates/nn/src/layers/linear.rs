@@ -76,11 +76,10 @@ impl Linear {
     fn cached(&self) -> &Tensor {
         self.cached_input.as_ref().expect("backward called before forward")
     }
+}
 
-    /// The shared forward body: `out` is completely overwritten. Both
-    /// the fresh-allocation and the arena path run exactly this, so
-    /// their results are bit-identical by construction.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+impl Layer for Linear {
+    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert_eq!(input.rank(), 2, "Linear expects [N, in] input");
         assert_eq!(
             input.shape()[1],
@@ -90,7 +89,7 @@ impl Linear {
             input.shape()[1]
         );
         let n = input.shape()[0];
-        out.reset_zeroed(&[n, self.out_features]);
+        let mut out = arena.take(&[n, self.out_features]);
         // y = X · Wᵀ through the fused variant: one packed transpose
         // inside the kernel instead of materializing a Tensor here.
         matmul_bt_into(
@@ -115,19 +114,6 @@ impl Linear {
             Some(cached) => cached.copy_from(input),
             slot => *slot = Some(input.clone()),
         }
-    }
-}
-
-impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
-        let mut out = arena.grab();
-        self.forward_out(input, &mut out);
         out
     }
 

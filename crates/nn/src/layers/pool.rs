@@ -43,16 +43,16 @@ impl MaxPool2d {
         }
         out
     }
+}
 
-    /// The shared forward body: `out` is completely overwritten and the
-    /// argmax/shape caches reuse their previous allocations.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+impl Layer for MaxPool2d {
+    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert_eq!(input.rank(), 4, "MaxPool2d expects [N, C, H, W] input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let k = self.window;
         assert!(h >= k && w >= k, "window {k} larger than input {h}x{w}");
         let (oh, ow) = (h / k, w / k);
-        out.reset_zeroed(&[n, c, oh, ow]);
+        let mut out = arena.take(&[n, c, oh, ow]);
         let argmax = self.argmax.get_or_insert_with(Vec::new);
         argmax.clear();
         argmax.resize(n * c * oh * ow, 0);
@@ -83,19 +83,6 @@ impl MaxPool2d {
             }
         }
         remember_shape(&mut self.input_shape, input.shape());
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
-        let mut out = arena.grab();
-        self.forward_out(input, &mut out);
         out
     }
 
@@ -168,16 +155,17 @@ impl AvgPool2d {
         }
         out
     }
+}
 
-    /// The shared forward body: `out` is completely overwritten.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+impl Layer for AvgPool2d {
+    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert_eq!(input.rank(), 4, "AvgPool2d expects [N, C, H, W] input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let k = self.window;
         assert!(h >= k && w >= k, "window {k} larger than input {h}x{w}");
         let (oh, ow) = (h / k, w / k);
         let inv = 1.0 / (k * k) as f32;
-        out.reset_zeroed(&[n, c, oh, ow]);
+        let mut out = arena.take(&[n, c, oh, ow]);
         let id = input.data();
         let od = out.data_mut();
         let mut o = 0usize;
@@ -199,19 +187,6 @@ impl AvgPool2d {
             }
         }
         remember_shape(&mut self.input_shape, input.shape());
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
-        let mut out = arena.grab();
-        self.forward_out(input, &mut out);
         out
     }
 
@@ -269,13 +244,14 @@ impl GlobalAvgPool {
         }
         out
     }
+}
 
-    /// The shared forward body: `out` is completely overwritten.
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
+impl Layer for GlobalAvgPool {
+    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
         assert_eq!(input.rank(), 4, "GlobalAvgPool expects [N, C, H, W] input");
         let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
         let inv = 1.0 / (h * w) as f32;
-        out.reset_zeroed(&[n, c]);
+        let mut out = arena.take(&[n, c]);
         let od = out.data_mut();
         let id = input.data();
         for item in 0..n {
@@ -285,19 +261,6 @@ impl GlobalAvgPool {
             }
         }
         remember_shape(&mut self.input_shape, input.shape());
-    }
-}
-
-impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
-        let mut out = arena.grab();
-        self.forward_out(input, &mut out);
         out
     }
 

@@ -26,28 +26,17 @@ impl Relu {
     fn mask(&self) -> &[bool] {
         self.mask.as_deref().expect("backward called before forward")
     }
-
-    /// The shared forward body: `out` is completely overwritten and the
-    /// active-input mask buffer is refilled in place (no allocation once
-    /// both have grown to the activation size).
-    fn forward_out(&mut self, input: &Tensor, out: &mut Tensor) {
-        let mask = self.mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        out.copy_from(input);
-        simd::relu_forward_inplace(out.data_mut(), mask);
-    }
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.forward_out(input, &mut out);
-        out
-    }
-
     fn forward_into(&mut self, input: &Tensor, _mode: Mode, arena: &mut ActivationArena) -> Tensor {
+        // The active-input mask buffer is refilled in place (no
+        // allocation once it has grown to the activation size).
+        let mask = self.mask.get_or_insert_with(Vec::new);
+        mask.clear();
         let mut out = arena.grab();
-        self.forward_out(input, &mut out);
+        out.copy_from(input);
+        simd::relu_forward_inplace(out.data_mut(), mask);
         out
     }
 

@@ -34,19 +34,6 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let main_out = self.main.forward(input, mode);
-        let short_out = self.shortcut.forward(input, mode);
-        assert_eq!(
-            main_out.shape(),
-            short_out.shape(),
-            "residual branch shapes diverge: {:?} vs {:?}",
-            main_out.shape(),
-            short_out.shape()
-        );
-        self.relu.forward(&(&main_out + &short_out), mode)
-    }
-
     fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         // Both branches draw from the arena; the branch sum happens in
         // place in the main branch's buffer, so the block holds at most

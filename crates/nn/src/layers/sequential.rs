@@ -63,14 +63,6 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, mode);
-        }
-        x
-    }
-
     fn forward_into(&mut self, input: &Tensor, mode: Mode, arena: &mut ActivationArena) -> Tensor {
         // The ping/pong loop: each layer's output comes from the arena
         // and its input buffer goes straight back, so a sequential chain

@@ -63,14 +63,15 @@ impl Network {
 
     // ------------------------------------------------------------- passes
 
-    /// Forward pass on a batch.
+    /// Forward pass on a batch ([`Network::forward_with`] with a cold
+    /// arena).
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         self.root.forward(input, mode)
     }
 
-    /// Forward pass with activations drawn from `arena` — the
-    /// allocation-free path ([`crate::layer::Layer::forward_into`]).
-    /// Recycle the returned tensor into the arena once consumed.
+    /// Forward pass with activations drawn from `arena`
+    /// ([`crate::layer::Layer::forward_into`]). Recycle the returned
+    /// tensor into the arena once consumed.
     pub fn forward_with(
         &mut self,
         input: &Tensor,
@@ -245,40 +246,20 @@ impl Network {
 
     // ------------------------------------------------------------- metrics
 
-    /// Class predictions (row argmax of the logits).
-    pub fn predict(&mut self, input: &Tensor) -> Vec<usize> {
-        self.forward(input, Mode::Eval).argmax_rows()
-    }
-
-    /// Classification accuracy in `[0, 1]`, evaluated in mini-batches.
+    /// Classification accuracy in `[0, 1]`, evaluated in mini-batches:
+    /// [`Network::accuracy_with`] with a cold arena.
     ///
     /// # Panics
     ///
     /// Panics if `labels.len()` differs from the first dimension of
     /// `images`, or `batch_size` is zero.
     pub fn accuracy(&mut self, images: &Tensor, labels: &[usize], batch_size: usize) -> f64 {
-        assert!(batch_size > 0, "batch_size must be positive");
-        let n = images.shape()[0];
-        assert_eq!(labels.len(), n, "label count {} != image count {n}", labels.len());
-        if n == 0 {
-            return 0.0;
-        }
-        let mut correct = 0usize;
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch_size).min(n);
-            let batch = images.slice_axis0(start, end);
-            let preds = self.predict(&batch);
-            correct += preds.iter().zip(&labels[start..end]).filter(|(p, t)| p == t).count();
-            start = end;
-        }
-        correct as f64 / n as f64
+        self.accuracy_with(images, labels, batch_size, &mut ActivationArena::new())
     }
 
-    /// [`Network::accuracy`] with every working buffer (batch slice,
+    /// Classification accuracy with every working buffer (batch slice,
     /// activations) recycled through `arena` — the Monte Carlo eval
-    /// loop's zero-allocation scoring path. Results are bit-identical to
-    /// [`Network::accuracy`].
+    /// loop's zero-allocation scoring path once the arena is warm.
     ///
     /// # Panics
     ///

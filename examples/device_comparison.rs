@@ -13,7 +13,7 @@
 //! ```
 
 use swim::cim::device::DeviceTech;
-use swim::core::montecarlo::{nwc_sweep, SweepConfig};
+use swim::core::montecarlo::{nwc_sweep_outcome, SweepConfig};
 use swim::prelude::*;
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
         let mut model = QuantizedModel::new(net.clone(), 4, device);
         let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 128);
         let mags = model.magnitudes();
-        let sweep = nwc_sweep(
+        let sweep = nwc_sweep_outcome(
             &model,
             &SwimSelector,
             &sens,
@@ -60,7 +60,8 @@ fn main() {
                 seed: 9,
                 ..Default::default()
             },
-        );
+        )
+        .points;
         println!(
             "{:<30} {:>7.2} {:>11.2}% {:>11.2}% {:>11.2}%",
             name,

@@ -15,7 +15,7 @@
 //! ```
 
 use swim::core::insitu::{insitu_training, InsituConfig};
-use swim::core::montecarlo::{nwc_sweep, SweepConfig};
+use swim::core::montecarlo::{nwc_sweep_outcome, SweepConfig};
 use swim::prelude::*;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     let swim_fractions: Vec<f64> = budgets.iter().map(|&b: &f64| b.min(1.0)).collect();
     let sens = model.sensitivities(&SoftmaxCrossEntropy::new(), &train, 128);
     let mags = model.magnitudes();
-    let swim_curve = nwc_sweep(
+    let swim_curve = nwc_sweep_outcome(
         &model,
         &SwimSelector,
         &sens,
@@ -49,7 +49,8 @@ fn main() {
             seed: 3,
             ..Default::default()
         },
-    );
+    )
+    .points;
 
     // In-situ curve over the same budgets (it can exceed NWC 1.0).
     println!("[race] running in-situ training to NWC {}...", budgets.last().unwrap());

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use swim_core::algorithm::{selective_write_verify, Alg1Config};
     pub use swim_core::insitu::{insitu_training, InsituConfig};
     pub use swim_core::model::QuantizedModel;
-    pub use swim_core::montecarlo::{nwc_sweep, SweepConfig};
+    pub use swim_core::montecarlo::{nwc_sweep_outcome, SweepConfig};
     pub use swim_core::select::{
         mask_top_fraction, registry, selector_by_name, MagnitudeSelector, RandomSelector,
         SelectionInputs, Selector, SwimSelector,

@@ -80,8 +80,8 @@ fn swim_selection_beats_random_at_low_budget() {
         seed: 77,
         ..Default::default()
     };
-    let swim = nwc_sweep(&model, &SwimSelector, &sens, &mags, &test, &cfg);
-    let random = nwc_sweep(&model, &RandomSelector, &sens, &mags, &test, &cfg);
+    let swim = nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &test, &cfg).points;
+    let random = nwc_sweep_outcome(&model, &RandomSelector, &sens, &mags, &test, &cfg).points;
     assert!(
         swim[0].accuracy.mean() > random[0].accuracy.mean(),
         "SWIM {} should beat random {} at 10% budget",
@@ -104,8 +104,8 @@ fn swim_variance_is_lower_than_random() {
         seed: 78,
         ..Default::default()
     };
-    let swim = nwc_sweep(&model, &SwimSelector, &sens, &mags, &test, &cfg);
-    let random = nwc_sweep(&model, &RandomSelector, &sens, &mags, &test, &cfg);
+    let swim = nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &test, &cfg).points;
+    let random = nwc_sweep_outcome(&model, &RandomSelector, &sens, &mags, &test, &cfg).points;
     assert!(
         swim[0].accuracy.std() < random[0].accuracy.std() * 1.5,
         "SWIM std {} should not exceed random std {} materially",
@@ -167,7 +167,9 @@ fn end_to_end_determinism() {
             seed: 99,
             ..Default::default()
         };
-        nwc_sweep(&model, &SwimSelector, &sens, &mags, &test, &cfg)[0].accuracy.mean()
+        nwc_sweep_outcome(&model, &SwimSelector, &sens, &mags, &test, &cfg).points[0]
+            .accuracy
+            .mean()
     };
     assert_eq!(run(), run());
 }

@@ -46,7 +46,7 @@ fn prelude_reexports_compose() {
     let _ = Alg1Config::default();
     let _ = InsituConfig::default();
     let _ = SweepConfig::default();
-    let _: fn(&_, _, &_, &_, &_, &_) -> Vec<_> = nwc_sweep;
+    let _: fn(&_, _, &_, &_, &_, &_) -> swim::core::montecarlo::SweepOutcome = nwc_sweep_outcome;
     let _ = selective_write_verify;
     let _ = insitu_training;
 }
