@@ -14,8 +14,7 @@
 //! measured medians as a JSON snapshot; `--baseline FILE` compares this
 //! run against a snapshot and exits 1 when any shared entry regressed
 //! by more than 30% (the committed `BENCH_sweep.json` is the CI
-//! baseline for the `sweep`, `gemm_transposed`, `simd`, and `autotune`
-//! groups).
+//! baseline for the `sweep`, `gemm_transposed`, and `simd` groups).
 //!
 //! Groups:
 //!
@@ -34,10 +33,7 @@
 //! * `simd` — GEMM 256³ and the elementwise kernels per SIMD backend
 //!   this host supports, with vector-vs-scalar speedups;
 //! * `thread_threshold` — serial vs 2-thread crossover around
-//!   `PARALLEL_MIN_FLOPS` (tune with `SWIM_TUNE_MIN_FLOPS`);
-//! * `autotune` — the hand-tuned default GEMM plan vs the shape-keyed
-//!   autotuned plan (`SWIM_TUNE=on`), asserting the tuner never loses
-//!   more than the 30% bench guard and never changes result bytes.
+//!   `PARALLEL_MIN_FLOPS`, both arms forced through explicit GEMM plans.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -477,30 +473,31 @@ fn bench_simd(h: &mut Harness) {
 }
 
 /// Where the threaded GEMM path starts paying: serial vs 2-thread wall
-/// time around the `PARALLEL_MIN_FLOPS` default. On a single-core host
-/// the 2-thread entries only measure spawn overhead — run this on a
-/// multi-core machine to tune `SWIM_TUNE_MIN_FLOPS`.
+/// time around the `PARALLEL_MIN_FLOPS` default. Both arms run an
+/// explicit plan, because the sizes under test sit below the threshold
+/// and the built-in plan would route the 2-thread arm down the serial
+/// path. On a single-core host the 2-thread entries only measure spawn
+/// overhead — run this on a multi-core machine.
 fn bench_thread_threshold(h: &mut Harness) {
-    use swim_tensor::tune;
+    use swim_tensor::linalg::{matmul_with_plan, GemmKind};
+    use swim_tensor::tune::{gemm_plan, GemmPlan};
     h.group("thread_threshold (serial vs 2 threads around PARALLEL_MIN_FLOPS)");
     let mut rng = Prng::seed_from_u64(13);
     for &d in &[128usize, 160, 208, 256] {
         let flops = d * d * d;
         let a = Tensor::randn(&[d, d], &mut rng);
         let b = Tensor::randn(&[d, d], &mut rng);
-        let serial = h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/serial"), || {
-            matmul_with_threads(&a, &b, 1)
-        });
-        // Force threading eligibility for the 2-thread arm: the sizes
-        // under test sit below the default threshold, and the flops gate
-        // would otherwise silently route them down the serial path —
-        // timing the very thing the knob under test disables.
-        let eligible = tune::KernelTuning { gemm_min_flops: 1, ..tune::current() };
-        let two = tune::with_tuning(&eligible, || {
-            h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/2threads"), || {
-                matmul_with_threads(&a, &b, 2)
+        let block_cols = gemm_plan(d, d, d, 1).block_cols;
+        let mut out = vec![0.0f32; d * d];
+        let mut timed = |h: &mut Harness, label: &str, workers: usize| {
+            let plan = GemmPlan { workers, block_cols };
+            h.bench(&format!("thread_threshold/{d}cubed_{flops}flops/{label}"), || {
+                matmul_with_plan(GemmKind::MM, a.data(), b.data(), d, d, d, plan, &mut out);
+                out[0]
             })
-        });
+        };
+        let serial = timed(h, "serial", 1);
+        let two = timed(h, "2threads", 2);
         if let (Some(s), Some(t)) = (serial, two) {
             println!(
                 "  {:<44} 2-thread {:.2}x vs serial",
@@ -508,60 +505,6 @@ fn bench_thread_threshold(h: &mut Harness) {
                 s.as_secs_f64() / t.as_secs_f64().max(1e-12)
             );
         }
-    }
-}
-
-/// The autotune acceptance guard: on the canonical 256³ shape the
-/// shape-keyed tuned plan must not lose to the hand-tuned heuristic by
-/// more than the bench's 30% margin, and it must leave the result
-/// bytes untouched — the two halves of the "timing-only" contract. The
-/// one-time candidate sweep runs outside the measured region, matching
-/// how a real run amortizes it across the whole sweep.
-fn bench_autotune(h: &mut Harness) {
-    use swim_tensor::tune::{self, KernelTuning, TuneMode};
-    h.group("autotune (hand-tuned heuristic vs shape-keyed tuned plan)");
-    let mut rng = Prng::seed_from_u64(17);
-    let a = Tensor::randn(&[256, 256], &mut rng);
-    let b = Tensor::randn(&[256, 256], &mut rng);
-
-    let prior = tune::current();
-    tune::install(&KernelTuning { mode: TuneMode::Off, ..prior.clone() });
-    let hand = h.bench("autotune/gemm_256x256x256/hand_tuned", || matmul_with_threads(&a, &b, 1));
-    let reference = matmul_with_threads(&a, &b, 1);
-
-    tune::clear_winners();
-    tune::install(&KernelTuning { mode: TuneMode::On, ..prior.clone() });
-    black_box(matmul_with_threads(&a, &b, 1)); // pay the candidate sweep here
-    let tuned = h.bench("autotune/gemm_256x256x256/tuned", || matmul_with_threads(&a, &b, 1));
-    assert_eq!(
-        matmul_with_threads(&a, &b, 1).data(),
-        reference.data(),
-        "autotuned plan changed the result bytes"
-    );
-    for record in tune::choice_records() {
-        println!(
-            "  {:<44} {} ({})",
-            format!("autotune/{}", record.key),
-            record.config,
-            record.source
-        );
-    }
-    tune::clear_winners();
-    tune::install(&prior);
-
-    if let (Some(hand), Some(tuned)) = (hand, tuned) {
-        println!(
-            "  {:<44} tuned {:.2}x vs hand-tuned",
-            "autotune/gemm_256x256x256/speedup",
-            hand.as_secs_f64() / tuned.as_secs_f64().max(1e-12)
-        );
-        assert!(
-            tuned.as_secs_f64() <= hand.as_secs_f64() * 1.30,
-            "autotuned GEMM regressed more than 30% vs the hand-tuned default \
-             ({:?} vs {:?})",
-            tuned,
-            hand
-        );
     }
 }
 
@@ -674,7 +617,6 @@ fn main() {
     bench_sweep_throughput(&mut h);
     bench_simd(&mut h);
     bench_thread_threshold(&mut h);
-    bench_autotune(&mut h);
 
     println!("\n{} entries measured; slowest:", h.results.len());
     let mut by_time: Vec<&Sample> = h.results.iter().collect();

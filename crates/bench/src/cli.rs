@@ -132,39 +132,28 @@ impl Args {
     }
 }
 
-/// Resolves the kernel-tuning configuration from the environment and
-/// the command line — the env and CLI layers of the precedence chain
-/// (spec `[tune]` > CLI flags > environment > built-in default; the
-/// spec layer is overlaid by the experiment engine, which `install`s
-/// the result once per run).
+/// Resolves the kernel configuration from the `--gemm-threads` flag.
 ///
 /// The two parallelism levels compete for the same cores: when the
 /// Monte Carlo harness already fans `mc_threads` workers out, nested
 /// GEMM threading oversubscribes, so the default keeps each product
 /// serial in that case and lets GEMM use every core otherwise
-/// (single-run phases like training and sensitivity analysis). Every
-/// knob here is a pure performance setting — results are bit-identical
-/// for every value.
+/// (single-run phases like training and sensitivity analysis). The
+/// thread count is a pure performance setting — results are
+/// bit-identical for every value.
 pub fn tuning_from_flags(
     args: &Args,
     mc_threads: usize,
 ) -> Result<swim_tensor::tune::KernelTuning, String> {
-    use swim_tensor::tune::TuneMode;
-    let mut t = swim_tensor::tune::KernelTuning::from_env();
-    t.gemm_threads = args.get_usize("gemm-threads", if mc_threads > 1 { 1 } else { 0 })?;
-    if let Some(mode) = args.get("tune") {
-        t.mode = TuneMode::parse(mode)
-            .ok_or_else(|| format!("--tune expects `off` or `on`, got `{mode}`"))?;
-    }
-    if let Some(dir) = args.get("tune-cache") {
-        t.cache_dir = Some(std::path::PathBuf::from(dir));
-    }
-    Ok(t)
+    Ok(swim_tensor::tune::KernelTuning {
+        gemm_threads: args.get_usize("gemm-threads", if mc_threads > 1 { 1 } else { 0 })?,
+        ..Default::default()
+    })
 }
 
-/// Resolves and installs the env/CLI tuning layers, returning the
+/// Resolves and installs the kernel configuration, returning the
 /// resolved `(gemm_threads, gemm_block)` pair — the entry point for
-/// callers with no spec layer (`swim serve`).
+/// `swim serve`, which installs it once for the process.
 pub fn apply_gemm_flags(args: &Args, mc_threads: usize) -> Result<(usize, usize), String> {
     let t = tuning_from_flags(args, mc_threads)?;
     swim_tensor::tune::install(&t);
@@ -236,30 +225,21 @@ mod tests {
 
     #[test]
     fn tuning_flags_resolve_into_kernel_tuning() {
-        use swim_tensor::tune::TuneMode;
-        let args =
-            parse(&["--tune", "on", "--tune-cache", "/tmp/swim-tune-test", "--gemm-threads", "3"]);
-        let t = tuning_from_flags(&args, 1).unwrap();
-        assert_eq!(t.mode, TuneMode::On);
-        assert_eq!(t.cache_dir.as_deref(), Some(std::path::Path::new("/tmp/swim-tune-test")));
-        assert_eq!(t.gemm_threads, 3);
+        let t = tuning_from_flags(&parse(&["--gemm-threads", "3"]), 1).unwrap();
+        assert_eq!(t, swim_tensor::tune::KernelTuning { gemm_threads: 3, ..Default::default() });
         // Defaults: serial GEMM under a parallel Monte Carlo level,
         // every core otherwise.
         assert_eq!(tuning_from_flags(&parse(&[]), 8).unwrap().gemm_threads, 1);
         assert_eq!(tuning_from_flags(&parse(&[]), 1).unwrap().gemm_threads, 0);
-        // A misspelled mode errors instead of silently tuning.
-        let e = tuning_from_flags(&parse(&["--tune", "fast"]), 1).unwrap_err();
-        assert!(e.contains("--tune"), "{e}");
+        let e = tuning_from_flags(&parse(&["--gemm-threads", "many"]), 1).unwrap_err();
+        assert!(e.contains("--gemm-threads"), "{e}");
     }
 
     #[test]
     fn gemm_flag_default_matches_advertised_value() {
-        // With no flag given, the installed threshold must equal the
-        // documented `PARALLEL_MIN_FLOPS` default.
-        apply_gemm_flags(&parse(&[]), 1).unwrap();
-        assert_eq!(
-            swim_tensor::linalg::gemm_parallel_min_flops(),
-            swim_tensor::linalg::PARALLEL_MIN_FLOPS
-        );
+        // With no flag given, the installed configuration is the
+        // built-in plan: every core, heuristic block width.
+        assert_eq!(apply_gemm_flags(&parse(&[]), 1), Ok((0, 0)));
+        assert_eq!(swim_tensor::tune::current(), Default::default());
     }
 }

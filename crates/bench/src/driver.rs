@@ -115,8 +115,8 @@ impl Default for DriverConfig {
 
 impl DriverConfig {
     /// The driver view of an experiment spec. `gemm_threads` /
-    /// `gemm_block` come from the installed [`tune::KernelTuning`] so CLI
-    /// overrides and the spec agree on one policy.
+    /// `gemm_block` come from the installed [`tune::KernelTuning`] so the
+    /// CLI flag and the driver agree on one policy.
     pub fn from_spec(
         spec: &swim_exp::spec::ExperimentSpec,
         gemm_threads: usize,

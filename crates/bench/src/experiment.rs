@@ -38,20 +38,18 @@ pub struct RunOptions {
     pub csv: bool,
     /// Write the JSON results document here.
     pub out: Option<std::path::PathBuf>,
-    /// The env/CLI kernel-tuning layers (from [`tuning_from_flags`]).
-    /// [`run_spec`] overlays the spec's `[tune]` section on top and
-    /// installs the result — timing-only, never affects result bytes.
+    /// The kernel configuration (from [`tuning_from_flags`]), which
+    /// [`run_spec`] installs — timing-only, never affects result bytes.
     pub tuning: tune::KernelTuning,
     /// Write a checkpoint journal here after every completed block.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Resume from this checkpoint journal (and keep checkpointing to it
     /// unless `checkpoint` points elsewhere).
     pub resume: Option<std::path::PathBuf>,
-    /// Refuse a spec whose `run.simd` or `[tune]` pins differ from the
-    /// process's active configuration instead of switching to it — for
-    /// long-lived hosts that assume one configuration for the process
-    /// lifetime (the `swim serve` engine applies the same check via its
-    /// `validate` hook).
+    /// Refuse a spec whose `run.simd` pin differs from the process's
+    /// active backend instead of switching to it — for long-lived hosts
+    /// that assume one backend for the process lifetime (the `swim
+    /// serve` engine applies the same check via its `validate` hook).
     pub pin_backend: bool,
 }
 
@@ -318,11 +316,11 @@ fn resume_into(
 /// truncated document), and returns the typed document.
 pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, String> {
     spec.validate().map_err(|e| e.to_string())?;
-    // Pinned hosts verify the spec agrees with the process's backend and
-    // tuning; otherwise the spec's `run.simd` is switched to and its
-    // `[tune]` section is overlaid on the env/CLI layers and installed
-    // once for the whole run. Tuning is timing-only — result bytes are
-    // identical under every configuration.
+    // Pinned hosts verify the spec agrees with the process's backend;
+    // otherwise the spec's `run.simd` is switched to and the kernel
+    // configuration is installed once for the whole run. The kernel
+    // configuration is timing-only — result bytes are identical under
+    // every value.
     if opts.pin_backend {
         check_provenance_pinned(spec)?;
     } else {
@@ -331,7 +329,7 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
                 simd::Backend::parse(requested).expect("validated spec has a known SIMD backend");
             simd::set_backend(backend).map_err(|e| format!("run.simd: {e}"))?;
         }
-        tune::install(&tuning_with_spec(&opts.tuning, spec));
+        tune::install(&opts.tuning);
     }
     let grid_kind =
         matches!(spec.kind, ExperimentKind::Table1 | ExperimentKind::Fig2 | ExperimentKind::Sweep);
@@ -365,16 +363,16 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
     Ok(doc)
 }
 
-/// Errors when a validated spec's `run.simd` or `[tune]` pins contradict
-/// the backend and tuning this process already runs with.
+/// Errors when a validated spec's `run.simd` pin contradicts the
+/// backend this process already runs with.
 ///
-/// Used where switching configuration mid-process is off the table:
+/// Used where switching backend mid-process is off the table:
 /// `run_spec` with [`RunOptions::pin_backend`], and the `swim serve`
 /// engine, whose prepared-model cache and worker pool assume one
-/// configuration for the process lifetime. A spec that agrees with the
-/// process passes; one that pins anything else is rejected rather than
-/// switched to — a served document must not claim pins the process
-/// ignored.
+/// backend for the process lifetime. A spec that agrees with the
+/// process passes; one that pins another backend is rejected rather
+/// than switched to — a served document must not claim a pin the
+/// process ignored.
 pub(crate) fn check_provenance_pinned(spec: &ExperimentSpec) -> Result<(), String> {
     match Provenance::capture().pin_conflict(spec) {
         None => Ok(()),
@@ -384,29 +382,6 @@ pub(crate) fn check_provenance_pinned(spec: &ExperimentSpec) -> Result<(), Strin
             c.spec_key, c.pinned, c.recorded, c.env, c.pinned
         )),
     }
-}
-
-/// The spec's `[tune]` section overlaid on the env/CLI tuning layers —
-/// the top of the precedence chain (spec > flags > environment >
-/// default). Unset spec keys fall through to `base`.
-pub(crate) fn tuning_with_spec(
-    base: &tune::KernelTuning,
-    spec: &ExperimentSpec,
-) -> tune::KernelTuning {
-    let mut t = base.clone();
-    if let Some(mode) = &spec.tune.mode {
-        t.mode = tune::TuneMode::parse(mode).expect("validated spec has a known tune mode");
-    }
-    if let Some(b) = spec.tune.gemm_block {
-        t.gemm_block_cols = b;
-    }
-    if let Some(f) = spec.tune.gemm_min_flops {
-        t.gemm_min_flops = f;
-    }
-    if let Some(c) = spec.tune.im2col_cap {
-        t.im2col_cap_elems = c;
-    }
-    t
 }
 
 /// Prepares one (scenario, device model, sigma) block and sweeps every
@@ -423,9 +398,8 @@ fn prepare_and_sweep(
     let model = device_model_by_name(model_name)
         .unwrap_or_else(|| panic!("validated spec has unknown device model `{model_name}`"));
     let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
-    // `run_spec` already installed the fully resolved tuning (spec >
-    // flags > env); the driver config reads it back so every layer sees
-    // one policy.
+    // `run_spec` already installed the kernel configuration; the driver
+    // config reads it back so every layer sees one policy.
     let t = tune::current();
     let cfg = DriverConfig::from_spec(spec, t.gemm_threads, t.gemm_block_cols);
     let selectors = spec.selection.selectors();
@@ -578,8 +552,9 @@ fn run_table1(
     }
 
     println!(
-        "paper shape: SWIM reaches full-write-verify accuracy at the lowest NWC at every sigma,\n\
-         with the smallest std; magnitude is second; random and in-situ need most cycles."
+        "paper (Table 1) reports: SWIM reaches full-write-verify accuracy at the lowest NWC at\n\
+         every sigma, with the smallest std; magnitude is second; random and in-situ need most\n\
+         cycles (not checked against the tables above)."
     );
     Ok(())
 }
@@ -1049,8 +1024,7 @@ fn run_ablation(spec: &ExperimentSpec, _opts: &RunOptions, collector: &mut Colle
 
 /// Flags that configure output or kernels rather than the experiment —
 /// never forwarded into the spec.
-const NON_SPEC_FLAGS: &[&str] =
-    &["gemm-threads", "tune", "tune-cache", "out", "checkpoint", "resume"];
+const NON_SPEC_FLAGS: &[&str] = &["gemm-threads", "out", "checkpoint", "resume"];
 
 /// Boolean flags `swim run`/`swim preset` understand; anything else is a
 /// typo.
@@ -1082,8 +1056,7 @@ pub fn apply_flag_overrides(spec: &mut ExperimentSpec, args: &Args) -> Result<()
     Ok(())
 }
 
-/// Resolves output options and the env/CLI tuning layers for a spec
-/// (the spec's own `[tune]` section is overlaid later, by [`run_spec`]).
+/// Resolves output options and the kernel configuration for a spec.
 pub fn options_from_args(spec: &ExperimentSpec, args: &Args) -> Result<RunOptions, String> {
     // Single-run artifacts (no Monte Carlo fan-out during the heavy
     // phases) let the matrix kernels use every core.

@@ -126,9 +126,8 @@ impl JobEngine for ServiceEngine {
             );
         }
         // The prepared-model cache and worker pool assume one SIMD
-        // backend and one kernel-tuning configuration for the process
-        // lifetime, so a spec pinning a different one is rejected
-        // rather than switched to.
+        // backend for the process lifetime, so a spec pinning a
+        // different one is rejected rather than switched to.
         check_provenance_pinned(spec)?;
         Ok(())
     }
@@ -243,12 +242,11 @@ pub fn serve_main(args: &Args) -> Result<(), String> {
     if queue_cap == 0 {
         return Err("--queue-cap must be positive".into());
     }
-    // Kernel-tuning policy for the whole process (installed once —
-    // `validate` rejects specs that pin anything else): blocks compute
-    // serially (see ServiceEngine::run_block), so per-GEMM threading
-    // defaults to 1 — the pool already saturates the machine. The knobs
-    // are pure performance settings; results are bit-identical for
-    // every value.
+    // Kernel configuration for the whole process (installed once):
+    // blocks compute serially (see ServiceEngine::run_block), so
+    // per-GEMM threading defaults to 1 — the pool already saturates the
+    // machine. The thread count is a pure performance setting; results
+    // are bit-identical for every value.
     let (gemm_threads, gemm_block) = apply_gemm_flags(args, 2)?;
 
     let engine = Arc::new(ServiceEngine::new(gemm_threads, gemm_block));

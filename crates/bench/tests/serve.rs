@@ -147,3 +147,36 @@ fn served_document_matches_run_and_resubmission_hits_the_cache() {
     assert!(text.contains("swim_prep_cache_misses_total 2"), "{text}");
     assert!(text.contains("swim_jobs_done_total 2"), "{text}");
 }
+
+/// The service assumes one SIMD backend for the process lifetime: a spec
+/// whose `run.simd` names another backend is rejected at submission
+/// (400) instead of switched to, an agreeing spec is accepted, and the
+/// removed `[tune]` section is an unknown key.
+#[test]
+fn pinned_host_rejects_a_spec_naming_another_simd_backend() {
+    use swim_serve::server::JobEngine;
+    let engine = Arc::new(ServiceEngine::new(1, 0));
+    let active = swim_tensor::simd::backend().name();
+    let other = if active == "scalar" { "avx2" } else { "scalar" };
+
+    let mut agreeing = ExperimentSpec::parse_str(SPEC).expect("test spec parses");
+    agreeing.apply_set(&format!("simd={active}")).unwrap();
+    assert!(engine.validate(&agreeing).is_ok());
+
+    let mut contradicting = ExperimentSpec::parse_str(SPEC).expect("test spec parses");
+    contradicting.apply_set(&format!("simd={other}")).unwrap();
+    let e = engine.validate(&contradicting).unwrap_err();
+    assert!(e.contains(&format!("run.simd = {other}")), "{e}");
+    assert!(e.contains(&format!("SWIM_SIMD={other}")), "{e}");
+
+    let server = Server::new(engine, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let body = format!("{SPEC}\n[run]\nsimd = \"{other}\"\n");
+    let rejected = server.handle(&request("POST", "/jobs", body.as_bytes()));
+    assert_eq!(rejected.status, 400, "{}", String::from_utf8_lossy(&rejected.body));
+    assert!(String::from_utf8_lossy(&rejected.body).contains("run.simd"));
+
+    let body = format!("{SPEC}\n[tune]\nmode = \"on\"\n");
+    let rejected = server.handle(&request("POST", "/jobs", body.as_bytes()));
+    assert_eq!(rejected.status, 400);
+    assert!(String::from_utf8_lossy(&rejected.body).contains("unknown key `tune`"));
+}

@@ -195,7 +195,8 @@ fn non_default_model_echo_rerun_diff_is_clean() {
 }
 
 /// Corrupt or truncated results JSON must exit 2 with a clear message —
-/// never a panic — from every subcommand that parses documents.
+/// never a panic — from every subcommand that parses documents; so must
+/// the removed kernel-tuning surfaces.
 #[test]
 fn corrupt_documents_exit_two_without_panicking() {
     let dir = tempdir("swim-corrupt");
@@ -206,20 +207,30 @@ fn corrupt_documents_exit_two_without_panicking() {
     let garbage = dir.join("garbage.json");
     std::fs::write(&garbage, "{\"swim_results_version\": \"yes\"").unwrap();
 
-    for bad in [&truncated, &garbage] {
-        let bad = bad.display().to_string();
-        for args in [
-            vec!["diff", bad.as_str(), good.as_str()],
-            vec!["diff", good.as_str(), bad.as_str()],
-            vec!["report", bad.as_str()],
-            vec!["merge", bad.as_str()],
-        ] {
-            let out = swim(&args);
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-            assert!(stderr.contains("error:"), "{args:?}: {stderr}");
-            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        }
+    // `--tune` is an unknown spec key on `run` and an unknown flag on
+    // `serve`; `tune` is an unknown command.
+    let spec = dir.join("spec.toml");
+    std::fs::write(&spec, TWO_BLOCK_SPEC).unwrap();
+    let spec = spec.display().to_string();
+    let (truncated, garbage) = (truncated.display().to_string(), garbage.display().to_string());
+    let mut cases = vec![
+        vec!["run", spec.as_str(), "--tune", "on"],
+        vec!["run", spec.as_str(), "--tune-cache", "cache"],
+        vec!["serve", "--tune", "on"],
+        vec!["tune"],
+    ];
+    for bad in [truncated.as_str(), garbage.as_str()] {
+        cases.push(vec!["diff", bad, good.as_str()]);
+        cases.push(vec!["diff", good.as_str(), bad]);
+        cases.push(vec!["report", bad]);
+        cases.push(vec!["merge", bad]);
+    }
+    for args in cases {
+        let out = swim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
 
@@ -264,9 +275,9 @@ fn shard_merge_cli_loop_matches_single_shot_run() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("incomplete partition"));
 }
 
-/// Provenance is never drift: `swim diff` of an autotuned run against
-/// a default run lists the tuning difference and exits 0, while a real
-/// numeric drift on top of it still exits 1.
+/// Provenance is never drift: `swim diff` of a run against a copy that
+/// differs only in `provenance.simd` lists the difference and exits 0,
+/// while a real numeric drift on top of it still exits 1.
 #[test]
 fn diff_of_tuned_and_default_runs_lists_provenance_and_exits_zero() {
     let dir = tempdir("swim-diff-provenance");
@@ -277,16 +288,19 @@ fn diff_of_tuned_and_default_runs_lists_provenance_and_exits_zero() {
 
     let out = swim(&["run", &spec, "--out", &path("default.json")]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let out = swim(&["run", &spec, "--tune", "on", "--out", &path("tuned.json")]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut other = ResultsDoc::load(&dir.join("default.json")).unwrap();
+    let simd = other.provenance.simd.clone();
+    other.provenance.simd = if simd == "scalar" { "avx2" } else { "scalar" }.into();
+    std::fs::write(dir.join("other.json"), other.to_json()).unwrap();
 
-    let out = swim(&["diff", &path("default.json"), &path("tuned.json")]);
+    let out = swim(&["diff", &path("default.json"), &path("other.json")]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert!(stdout.contains("provenance.tuning.mode: `off` vs `on`"), "{stdout}");
+    let listed = format!("provenance.simd: `{simd}` vs `{}`", other.provenance.simd);
+    assert!(stdout.contains(&listed), "{stdout}");
     assert!(stdout.contains("no drift"), "{stdout}");
 
-    let mut drifted = ResultsDoc::load(&dir.join("tuned.json")).unwrap();
+    let mut drifted = other;
     drifted.sweeps[0].methods[0].points[0].accuracy_mean += 0.5;
     std::fs::write(dir.join("drifted.json"), drifted.to_json()).unwrap();
     let out = swim(&["diff", &path("default.json"), &path("drifted.json")]);

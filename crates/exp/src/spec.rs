@@ -338,35 +338,6 @@ pub struct RunSpec {
     pub simd: Option<String>,
 }
 
-/// `[tune]`: kernel-tuning policy. Like `[run]` this is not part of the
-/// experiment's mathematical identity: tuning is timing-only by
-/// contract (every candidate config changes speed, never bytes), so two
-/// runs differing only here produce byte-identical results apart from
-/// wall time and the `tuning` provenance section. Spec values take the
-/// highest precedence (spec > CLI flags > environment > on-disk cache >
-/// autotune > built-in default); unset keys fall through to the next
-/// layer. `None`/`0` knobs mean "auto" exactly like the
-/// [`swim_tensor::tune::KernelTuning`] they resolve into.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TuneSpec {
-    /// Autotune mode (`"off"` or `"on"`). `None` defers to the
-    /// `SWIM_TUNE` environment override, else off.
-    pub mode: Option<String>,
-    /// Pinned GEMM block width (beats cache and autotuner).
-    pub gemm_block: Option<usize>,
-    /// Pinned GEMM threading threshold in multiplies.
-    pub gemm_min_flops: Option<usize>,
-    /// Pinned im2col scratch cap in `f32` elements.
-    pub im2col_cap: Option<usize>,
-}
-
-impl TuneSpec {
-    /// Whether every key is unset (the section is then not echoed).
-    pub fn is_default(&self) -> bool {
-        *self == TuneSpec::default()
-    }
-}
-
 /// Parses the `"i/n"` shard form.
 fn parse_shard(text: &str) -> Result<(usize, usize), SpecError> {
     let invalid = || err(format!("`run.shard` must be \"i/n\" with 0 <= i < n (got `{text}`)"));
@@ -497,8 +468,6 @@ pub struct ExperimentSpec {
     pub ablation: AblationSpec,
     /// Execution partitioning (seed-range sharding).
     pub run: RunSpec,
-    /// Kernel-tuning policy (timing-only; see [`TuneSpec`]).
-    pub tune: TuneSpec,
 }
 
 impl Default for ExperimentSpec {
@@ -519,7 +488,6 @@ impl Default for ExperimentSpec {
             calibration: CalibrationSpec::default(),
             ablation: AblationSpec::default(),
             run: RunSpec::default(),
-            tune: TuneSpec::default(),
         }
     }
 }
@@ -702,28 +670,6 @@ impl ExperimentSpec {
             }
         };
 
-        let tune = match r.take("tune") {
-            None => defaults.tune.clone(),
-            Some(v) => {
-                let mut s = Reader::new("tune", v)?;
-                let mode = match s.take("mode") {
-                    None => None,
-                    Some(Value::Str(text)) => Some(text.clone()),
-                    Some(_) => {
-                        return Err(err("`tune.mode` must be a string (\"off\" or \"on\")"));
-                    }
-                };
-                let out = TuneSpec {
-                    mode,
-                    gemm_block: s.usize_opt("gemm_block")?,
-                    gemm_min_flops: s.usize_opt("gemm_min_flops")?,
-                    im2col_cap: s.usize_opt("im2col_cap")?,
-                };
-                s.finish()?;
-                out
-            }
-        };
-
         let insitu = match r.take("insitu") {
             None => defaults.insitu.clone(),
             Some(v) => {
@@ -797,7 +743,6 @@ impl ExperimentSpec {
             calibration,
             ablation,
             run,
-            tune,
         };
         spec.validate()?;
         Ok(spec)
@@ -948,11 +893,6 @@ impl ExperimentSpec {
                 return Err(err(format!(
                     "`run.simd` must be one of scalar, avx2, avx512, neon (got `{simd}`)"
                 )));
-            }
-        }
-        if let Some(mode) = &self.tune.mode {
-            if swim_tensor::tune::TuneMode::parse(mode).is_none() {
-                return Err(err(format!("`tune.mode` must be \"off\" or \"on\" (got `{mode}`)")));
             }
         }
         for &p in &self.ablation.granularities {
@@ -1129,26 +1069,6 @@ impl ExperimentSpec {
             root.set("run", run);
         }
 
-        // `[tune]` is likewise only written when a key is set, so
-        // default spec echoes (and their fingerprints) stay
-        // byte-identical to pre-tuning documents.
-        if !self.tune.is_default() {
-            let mut tune = Value::table();
-            if let Some(mode) = &self.tune.mode {
-                tune.set("mode", Value::Str(mode.clone()));
-            }
-            if let Some(b) = self.tune.gemm_block {
-                tune.set("gemm_block", Value::Int(b as i64));
-            }
-            if let Some(f) = self.tune.gemm_min_flops {
-                tune.set("gemm_min_flops", Value::Int(f as i64));
-            }
-            if let Some(c) = self.tune.im2col_cap {
-                tune.set("im2col_cap", Value::Int(c as i64));
-            }
-            root.set("tune", tune);
-        }
-
         let mut insitu = Value::table();
         insitu.set("lr", f32_value(self.insitu.lr));
         insitu.set("batch", Value::Int(self.insitu.batch as i64));
@@ -1216,15 +1136,6 @@ impl ExperimentSpec {
         // order differs per SIMD backend — a prepared model is only
         // reusable under the backend that built it.
         root.set("simd", Value::Str(swim_tensor::simd::backend().name().into()));
-        // Tuning is timing-only — a tuned preparation is byte-identical
-        // to a default one — but a non-default `[tune]` section is still
-        // folded in so a cache hit's provenance states the policy the
-        // model was actually prepared under. Default specs write
-        // nothing, keeping pre-tuning fingerprints stable.
-        if let Some(mode) = &self.tune.mode {
-            root.set("tune_mode", Value::Str(mode.clone()));
-        }
-
         let mut scenario = Value::table();
         scenario.set("model", Value::Str(self.scenario.model.key().into()));
         scenario.set("width", f32_value(self.scenario.width));
@@ -1351,7 +1262,6 @@ pub fn resolve_set_path(kind: ExperimentKind, key: &str) -> String {
         "note" => "note",
         "shard" => "run.shard",
         "simd" => "run.simd",
-        "tune" => "tune.mode",
         "on-panic" | "on_panic" => "montecarlo.on_panic",
         other => other,
     };
@@ -1385,6 +1295,11 @@ mod tests {
         assert!(e.0.contains("unknown device tech"), "{e}");
         let e = ExperimentSpec::parse_str("[selection]\nmethods = [\"swimm\"]\n").unwrap_err();
         assert!(e.0.contains("unknown selector"), "{e}");
+        // The removed kernel-tuning section is an unknown key, not a
+        // silently ignored one.
+        let e = ExperimentSpec::parse_str("[tune]\nmode = \"on\"\n").unwrap_err();
+        assert!(e.0.contains("unknown key `tune`"), "{e}");
+        assert!(ExperimentSpec::default().apply_set("tune=on").is_err());
     }
 
     #[test]
@@ -1589,47 +1504,6 @@ mod tests {
         assert!(spec.to_toml().contains("[run]"));
         // Unset means "whatever the process detects" and writes nothing.
         assert!(!ExperimentSpec::default().to_toml().contains("simd"));
-    }
-
-    #[test]
-    fn tune_parses_validates_and_round_trips() {
-        let spec = ExperimentSpec::parse_str("[tune]\nmode = \"on\"\ngemm_block = 256\n").unwrap();
-        assert_eq!(spec.tune.mode.as_deref(), Some("on"));
-        assert_eq!(spec.tune.gemm_block, Some(256));
-        let again = ExperimentSpec::parse_str(&spec.to_toml()).unwrap();
-        assert_eq!(again, spec);
-        // Default specs do not echo a [tune] section at all — written
-        // documents stay byte-identical to pre-tuning ones.
-        assert!(!ExperimentSpec::default().to_toml().contains("[tune]"));
-        // Bad values are rejected with the dotted path.
-        let e = ExperimentSpec::parse_str("[tune]\nmode = \"fast\"\n").unwrap_err();
-        assert!(e.0.contains("tune.mode"), "{e}");
-        let e = ExperimentSpec::parse_str("[tune]\nmode = 2\n").unwrap_err();
-        assert!(e.0.contains("tune.mode"), "{e}");
-        let e = ExperimentSpec::parse_str("[tune]\ngemm_block = -3\n").unwrap_err();
-        assert!(e.0.contains("tune.gemm_block"), "{e}");
-        let e = ExperimentSpec::parse_str("[tune]\nblock = 1\n").unwrap_err();
-        assert!(e.0.contains("unknown key `tune.block`"), "{e}");
-        // The bare `tune` shorthand addresses the mode.
-        let mut spec = ExperimentSpec::default();
-        spec.apply_set("tune=on").unwrap();
-        assert_eq!(spec.tune.mode.as_deref(), Some("on"));
-        assert!(spec.apply_set("tune=sometimes").is_err());
-    }
-
-    #[test]
-    fn tune_mode_moves_prep_fingerprint_only_when_set() {
-        let base = ExperimentSpec::default();
-        let fp = base.prep_fingerprint("rram-gaussian", 0.1);
-        // Timing-only knobs without a mode stay on the base fingerprint
-        // path only when the whole section is default; an explicit mode
-        // separates the cache entry for provenance attribution.
-        let mut tuned = base.clone();
-        tuned.apply_set("tune=on").unwrap();
-        assert_ne!(tuned.prep_fingerprint("rram-gaussian", 0.1), fp);
-        let mut off = base.clone();
-        off.apply_set("tune=off").unwrap();
-        assert_ne!(off.prep_fingerprint("rram-gaussian", 0.1), fp, "explicit off is a pin");
     }
 
     #[test]

@@ -7,18 +7,15 @@ use swim_tensor::conv::{col2im_accumulate, im2col_batch_into, ConvGeometry};
 use swim_tensor::linalg::{matmul_at_into, matmul_bt_into, matmul_into};
 use swim_tensor::{tune, Prng, Tensor};
 
-/// Default cap, in `f32` elements, on the batched im2col scratch of one
-/// layer (re-exported from the tuning layer; override per run via
-/// [`tune::KernelTuning::im2col_cap_elems`]).
+/// Cap, in `f32` elements, on the batched im2col scratch of one layer
+/// (re-exported from [`tune::DEFAULT_IM2COL_CAP_ELEMS`]).
 ///
 /// A whole batch is lowered through a single `[N·outH·outW, C·k²]` patch
 /// matrix when it fits; larger batches are processed in item chunks so
 /// the scratch stays within ~16 MiB however wide the model is. The chunk
 /// split is invisible in the results: every pass is bit-identical for
 /// any chunk size (each item's rows are computed independently, and the
-/// parameter-gradient accumulation is per-item either way) — which is
-/// exactly why the chunk is safe to autotune per shape under
-/// `tune.mode = on`.
+/// parameter-gradient accumulation is per-item either way).
 pub const IM2COL_CAP_ELEMS: usize = tune::DEFAULT_IM2COL_CAP_ELEMS;
 
 /// Reusable lowering buffers owned by one `Conv2d` layer.
@@ -142,9 +139,7 @@ impl Conv2d {
     }
 
     /// Items per lowering chunk for a given output spatial size: as many
-    /// as fit the installed im2col scratch cap
-    /// ([`tune::im2col_cap_elems`], default [`IM2COL_CAP_ELEMS`]), at
-    /// least one.
+    /// as fit the [`IM2COL_CAP_ELEMS`] scratch cap, at least one.
     ///
     /// Sized by the *largest* per-item buffer — the `CK²`-wide patch
     /// matrix or the `F`-wide GEMM/delta buffers — so a channel-expanding
@@ -153,7 +148,7 @@ impl Conv2d {
     fn chunk_items(&self, spatial: usize, n: usize) -> usize {
         let widest = (self.in_channels * self.kernel * self.kernel).max(self.out_channels);
         let per_item = spatial * widest;
-        (tune::im2col_cap_elems() / per_item.max(1)).clamp(1, n.max(1))
+        (IM2COL_CAP_ELEMS / per_item.max(1)).clamp(1, n.max(1))
     }
 
     /// Forward pass with an explicit chunk size (`chunk = 1` is the
@@ -326,31 +321,7 @@ impl Layer for Conv2d {
             input.shape()[1]
         );
         let geom = self.geometry(input.shape()[2], input.shape()[3]);
-        let n = input.shape()[0];
-        let spatial = geom.out_h() * geom.out_w();
-        // The cap-derived chunk size — or, under `tune.mode = on`, the
-        // shape-keyed autotuned chunk (the candidates only move work
-        // between identical per-item computations, so every choice is
-        // bit-identical; see `tune::resolve_custom`).
-        let default_chunk = self.chunk_items(spatial, n);
-        let chunk = if tune::mode() == tune::TuneMode::On && n > 1 {
-            let widest = (self.in_channels * self.kernel * self.kernel).max(self.out_channels);
-            let mut candidates =
-                vec![default_chunk, 1, (default_chunk / 2).max(1), (default_chunk * 2).min(n), n];
-            candidates.retain(|&c| c >= 1 && c <= n);
-            candidates.sort_unstable();
-            candidates.dedup();
-            let mut bench_out = Tensor::zeros(&[0]);
-            tune::resolve_custom(
-                "im2col",
-                [spatial, widest, n, 0],
-                default_chunk,
-                &candidates,
-                |c| self.forward_impl(input, c, &mut bench_out),
-            )
-        } else {
-            default_chunk
-        };
+        let chunk = self.chunk_items(geom.out_h() * geom.out_w(), input.shape()[0]);
         let mut out = arena.grab();
         self.forward_impl(input, chunk, &mut out);
         out

@@ -4,7 +4,7 @@
 //! A diff separates four classes of difference:
 //!
 //! * **provenance** — the documents ran under different SIMD backends
-//!   or kernel tuning (the [`crate::schema::Provenance`] envelope).
+//!   (the [`crate::schema::Provenance`] envelope).
 //!   Listed leaf by leaf, but **never drift**: [`DiffReport::clean`]
 //!   ignores this class, so a provenance-only difference exits 0.
 //! * **spec** — the two documents' spec echoes describe different
@@ -679,22 +679,20 @@ mod tests {
         );
     }
 
-    /// Provenance is never drift: documents differing in both SIMD
-    /// backend and tuning diff clean, with one provenance entry per
-    /// differing leaf.
+    /// Provenance is never drift: documents differing in their SIMD
+    /// backend diff clean, with one provenance entry per differing leaf.
     #[test]
     fn provenance_difference_is_listed_but_never_drift() {
         let a = doc();
         let mut b = doc();
         b.provenance.simd = if a.provenance.simd == "scalar" { "avx2" } else { "scalar" }.into();
-        b.provenance.tuning.mode = "on".into();
         let report = diff_docs(&a, &b, &DiffOptions::default());
         assert!(report.clean(), "{}", report.render());
         let paths: Vec<&str> = report.provenance.iter().map(|e| e.path.as_str()).collect();
-        assert_eq!(paths, ["provenance.simd", "provenance.tuning.mode"], "{}", report.render());
-        assert_eq!(report.provenance[1].left, "`off`");
-        assert_eq!(report.provenance[1].right, "`on`");
-        assert!(report.render().contains("provenance differences, not drift (2)"));
+        assert_eq!(paths, ["provenance.simd"], "{}", report.render());
+        assert_eq!(report.provenance[0].left, format!("`{}`", a.provenance.simd));
+        assert_eq!(report.provenance[0].right, format!("`{}`", b.provenance.simd));
+        assert!(report.render().contains("provenance differences, not drift (1)"));
 
         // A real numeric drift alongside still fails the diff.
         b.sweeps[0].methods[0].points[1].accuracy_mean += 0.75;

@@ -14,8 +14,8 @@
 //! level) are checked against the spec echo so a hand-edited document
 //! cannot claim to be an experiment it is not.
 //!
-//! How a run executed — its SIMD backend and kernel tuning — lives in
-//! one [`Provenance`] envelope with one policy: it is never drift in
+//! How a run executed — its SIMD backend — lives in one
+//! [`Provenance`] envelope with one policy: it is never drift in
 //! `swim diff`, shards merge it with [`merge_provenance`], and a spec
 //! that pins part of it is checked with [`Provenance::pin_conflict`].
 //!
@@ -42,8 +42,10 @@ use swim_exp::value::{parse_json, Reader, Value};
 /// spec echo; 5 = the top-level `tuning` kernel-autotuning provenance
 /// block (requested pins plus every shape-keyed choice the tuner made)
 /// and the `[tune]` section in the spec echo; 6 = `simd` and `tuning`
-/// moved under one top-level `provenance` envelope.
-pub const RESULTS_VERSION: i64 = 6;
+/// moved under one top-level `provenance` envelope; 7 = the kernel
+/// autotuner removed: `provenance.tuning` and the `[tune]` spec section
+/// are gone, so the envelope holds `simd` only.
+pub const RESULTS_VERSION: i64 = 7;
 
 /// A results-document parsing/validation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,76 +205,6 @@ pub struct RawSweepDoc {
     pub insitu_runs: Vec<Vec<(f64, f64)>>,
 }
 
-/// One shape-keyed kernel-config decision recorded by the autotuner.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TuningChoiceDoc {
-    /// Rendered tune key (kernel, shape, SIMD backend, thread count).
-    pub key: String,
-    /// Rendered winning config (e.g. `block=128 workers=1`).
-    pub config: String,
-    /// Where the winner came from (`autotune` or `disk-cache`).
-    pub source: String,
-}
-
-/// Kernel-tuning provenance: the *requested* tuning configuration
-/// (mode and pins exactly as resolved from spec/CLI/env — `0` means
-/// "auto", never a host-resolved value, so documents stay byte-stable
-/// across hosts) plus every shape-keyed choice the tuner made during
-/// the run. Tuning is timing-only — it can never change result bytes —
-/// so this block is attribution, not part of the numeric payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TuningDoc {
-    /// Tuning mode the run executed under (`off` or `on`).
-    pub mode: String,
-    /// Requested GEMM block-width pin (`0` = heuristic / autotuned).
-    pub gemm_block_cols: usize,
-    /// Requested threading-threshold pin in multiplies (`0` = default).
-    pub gemm_min_flops: usize,
-    /// Requested im2col scratch-cap pin in elements (`0` = default).
-    pub im2col_cap_elems: usize,
-    /// The tuner's shape-keyed decisions, sorted by key. Empty when
-    /// the mode is `off`.
-    pub choices: Vec<TuningChoiceDoc>,
-}
-
-impl TuningDoc {
-    /// Captures the process-installed tuning config and (when tuning
-    /// is on) the winner cache as it stands.
-    pub fn capture() -> TuningDoc {
-        use swim_tensor::tune;
-        let t = tune::current();
-        let choices = if t.mode == tune::TuneMode::On {
-            tune::choice_records()
-                .into_iter()
-                .map(|r| TuningChoiceDoc { key: r.key, config: r.config, source: r.source })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        TuningDoc {
-            mode: t.mode.name().to_string(),
-            gemm_block_cols: t.gemm_block_cols,
-            gemm_min_flops: t.gemm_min_flops,
-            im2col_cap_elems: t.im2col_cap_elems,
-            choices,
-        }
-    }
-}
-
-impl Default for TuningDoc {
-    /// The forced-default configuration: tuning off, nothing pinned,
-    /// no choices.
-    fn default() -> Self {
-        TuningDoc {
-            mode: swim_tensor::tune::TuneMode::Off.name().to_string(),
-            gemm_block_cols: 0,
-            gemm_min_flops: 0,
-            im2col_cap_elems: 0,
-            choices: Vec::new(),
-        }
-    }
-}
-
 /// The provenance envelope: how a run executed, never what it
 /// computed.
 ///
@@ -280,8 +212,8 @@ impl Default for TuningDoc {
 /// differences in their own section and never counts them as drift,
 /// [`merge_provenance`] is the one merge rule, and
 /// [`Provenance::pin_conflict`] is the one check of a spec's `[run]
-/// simd` / `[tune]` pins — against the recorded envelope when a
-/// document is parsed, against the live process on pinned hosts.
+/// simd` pin — against the recorded envelope when a document is parsed,
+/// against the live process on pinned hosts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// SIMD backend the run's kernels dispatched through (`scalar`,
@@ -289,15 +221,12 @@ pub struct Provenance {
     /// bit-identical across backends, GEMM is tolerance-equal, so this
     /// records which flavor produced the bytes.
     pub simd: String,
-    /// Kernel-tuning provenance: requested mode/pins plus the tuner's
-    /// shape-keyed choices. Timing-only — never affects result bytes.
-    pub tuning: TuningDoc,
 }
 
 /// A spec pin that a [`Provenance`] contradicts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PinConflict {
-    /// Dotted spec path of the pin (e.g. `tune.gemm_block`).
+    /// Dotted spec path of the pin (`run.simd`).
     pub spec_key: &'static str,
     /// Dotted path of the recorded value inside the envelope.
     pub field: &'static str,
@@ -311,48 +240,21 @@ pub struct PinConflict {
 
 impl Provenance {
     /// Captures the active process configuration: the dispatching SIMD
-    /// backend and the installed tuning (with the tuner's choices so
-    /// far).
+    /// backend.
     pub fn capture() -> Provenance {
-        Provenance {
-            simd: swim_tensor::simd::backend().name().to_string(),
-            tuning: TuningDoc::capture(),
-        }
+        Provenance { simd: swim_tensor::simd::backend().name().to_string() }
     }
 
-    /// The first `[run] simd` / `[tune]` pin of `spec` this provenance
-    /// contradicts, if any. Unpinned spec keys never conflict.
+    /// The spec's `[run] simd` pin, if this provenance contradicts it.
+    /// An unpinned spec never conflicts.
     pub fn pin_conflict(&self, spec: &ExperimentSpec) -> Option<PinConflict> {
-        let t = &self.tuning;
-        let num = |pin: Option<usize>| pin.map(|v| v.to_string());
-        let pins = [
-            ("run.simd", "simd", "SWIM_SIMD", spec.run.simd.clone(), self.simd.clone()),
-            ("tune.mode", "tuning.mode", "SWIM_TUNE", spec.tune.mode.clone(), t.mode.clone()),
-            (
-                "tune.gemm_block",
-                "tuning.gemm_block_cols",
-                "SWIM_TUNE_BLOCK",
-                num(spec.tune.gemm_block),
-                t.gemm_block_cols.to_string(),
-            ),
-            (
-                "tune.gemm_min_flops",
-                "tuning.gemm_min_flops",
-                "SWIM_TUNE_MIN_FLOPS",
-                num(spec.tune.gemm_min_flops),
-                t.gemm_min_flops.to_string(),
-            ),
-            (
-                "tune.im2col_cap",
-                "tuning.im2col_cap_elems",
-                "SWIM_TUNE_IM2COL",
-                num(spec.tune.im2col_cap),
-                t.im2col_cap_elems.to_string(),
-            ),
-        ];
-        pins.into_iter().find_map(|(spec_key, field, env, pinned, recorded)| {
-            let pinned = pinned?;
-            (pinned != recorded).then_some(PinConflict { spec_key, field, env, pinned, recorded })
+        let pinned = spec.run.simd.clone()?;
+        (pinned != self.simd).then(|| PinConflict {
+            spec_key: "run.simd",
+            field: "simd",
+            env: "SWIM_SIMD",
+            pinned,
+            recorded: self.simd.clone(),
         })
     }
 
@@ -361,7 +263,6 @@ impl Provenance {
     pub fn to_value(&self) -> Value {
         let mut v = Value::table();
         v.set("simd", Value::Str(self.simd.clone()));
-        v.set("tuning", tuning_to_value(&self.tuning));
         v
     }
 
@@ -371,9 +272,8 @@ impl Provenance {
         if swim_tensor::simd::Backend::parse(&simd).is_none() {
             return Err(err(format!("unknown SIMD backend `{simd}` in `{path}.simd`")));
         }
-        let tuning = tuning_from_value(&format!("{path}.tuning"), r.require("tuning")?)?;
         r.finish()?;
-        Ok(Provenance { simd, tuning })
+        Ok(Provenance { simd })
     }
 }
 
@@ -382,11 +282,8 @@ impl Provenance {
 ///
 /// Parts that ran under different SIMD backends are an error: GEMM
 /// bytes differ across backends, so no single-shot run could have
-/// produced their merge. Tuning is timing-only, so parts tuned
-/// differently still merge bit-exactly; no single configuration then
-/// describes the result and the merged tuning falls back to the
-/// default (off, nothing pinned). `parts` pairs a label for error
-/// messages with each part's envelope.
+/// produced their merge. `parts` pairs a label for error messages with
+/// each part's envelope.
 ///
 /// # Panics
 ///
@@ -402,11 +299,7 @@ pub fn merge_provenance(parts: &[(&str, &Provenance)]) -> Result<Provenance, Str
             ));
         }
     }
-    let shared_tuning = parts.iter().all(|(_, p)| p.tuning == first.tuning);
-    Ok(Provenance {
-        simd: first.simd.clone(),
-        tuning: if shared_tuning { first.tuning.clone() } else { TuningDoc::default() },
-    })
+    Ok(first.clone())
 }
 
 /// Fig. 1 correlation summary (present only for `fig1`-kind runs).
@@ -453,7 +346,7 @@ pub struct ResultsDoc {
     /// Runs that panicked under the isolate policy (empty otherwise;
     /// omitted from the JSON when empty).
     pub faults: Vec<FaultDoc>,
-    /// How the run executed: SIMD backend and kernel tuning.
+    /// How the run executed: the SIMD backend.
     pub provenance: Provenance,
     /// Wall-clock duration of the run in seconds.
     pub wall_time_s: f64,
@@ -767,74 +660,6 @@ impl ResultsDoc {
             wall_time_s,
         })
     }
-}
-
-// ------------------------------------------------------------- tuning
-
-fn tuning_to_value(tuning: &TuningDoc) -> Value {
-    let mut v = Value::table();
-    v.set("mode", Value::Str(tuning.mode.clone()));
-    v.set("gemm_block_cols", Value::Int(tuning.gemm_block_cols as i64));
-    v.set("gemm_min_flops", Value::Int(tuning.gemm_min_flops as i64));
-    v.set("im2col_cap_elems", Value::Int(tuning.im2col_cap_elems as i64));
-    v.set(
-        "choices",
-        Value::Array(
-            tuning
-                .choices
-                .iter()
-                .map(|c| {
-                    let mut cv = Value::table();
-                    cv.set("key", Value::Str(c.key.clone()));
-                    cv.set("config", Value::Str(c.config.clone()));
-                    cv.set("source", Value::Str(c.source.clone()));
-                    cv
-                })
-                .collect(),
-        ),
-    );
-    v
-}
-
-fn tuning_from_value(path: &str, value: &Value) -> Result<TuningDoc, SchemaError> {
-    let mut r = Reader::new(path, value)?;
-    let mode = r.string_req("mode")?;
-    if swim_tensor::tune::TuneMode::parse(&mode).is_none() {
-        return Err(err(format!("unknown tuning mode `{mode}` in `{path}.mode`")));
-    }
-    let gemm_block_cols = r.u64_req("gemm_block_cols")? as usize;
-    let gemm_min_flops = r.u64_req("gemm_min_flops")? as usize;
-    let im2col_cap_elems = r.u64_req("im2col_cap_elems")? as usize;
-    let choices = {
-        let v = r.require("choices")?;
-        let items =
-            v.as_array().ok_or_else(|| err(format!("`{path}.choices` must be an array")))?;
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let cpath = format!("{path}.choices[{i}]");
-                let mut c = Reader::new(&cpath, item)?;
-                let out = TuningChoiceDoc {
-                    key: c.string_req("key")?,
-                    config: c.string_req("config")?,
-                    source: c.string_req("source")?,
-                };
-                c.finish()?;
-                Ok(out)
-            })
-            .collect::<Result<Vec<_>, SchemaError>>()?
-    };
-    r.finish()?;
-    // Tuning off means no decisions were made; a document claiming
-    // otherwise is corrupt.
-    if mode == swim_tensor::tune::TuneMode::Off.name() && !choices.is_empty() {
-        return Err(err(format!(
-            "`{path}` has mode `off` but records {} tuner choice(s)",
-            choices.len()
-        )));
-    }
-    Ok(TuningDoc { mode, gemm_block_cols, gemm_min_flops, im2col_cap_elems, choices })
 }
 
 // ------------------------------------------------------- sweep blocks
@@ -1258,6 +1083,17 @@ mod tests {
         root.set("swim_results_version", Value::Int(5));
         let e = ResultsDoc::from_value(&root).unwrap_err();
         assert!(e.0.contains("unsupported results version 5"), "{e}");
+        // So is a v6 document (with `provenance.tuning`); at the current
+        // version that block is an unknown key.
+        root.set("swim_results_version", Value::Int(6));
+        let e = ResultsDoc::from_value(&root).unwrap_err();
+        assert!(e.0.contains("unsupported results version 6"), "{e}");
+        let mut root = sample_doc().to_value();
+        let mut envelope = root.get("provenance").unwrap().clone();
+        envelope.set("tuning", Value::table());
+        root.set("provenance", envelope);
+        let e = ResultsDoc::from_value(&root).unwrap_err();
+        assert!(e.0.contains("unknown key `provenance.tuning`"), "{e}");
     }
 
     #[test]
@@ -1363,85 +1199,29 @@ mod tests {
     }
 
     #[test]
-    fn tuning_block_round_trips() {
+    fn rejects_simd_contradicting_spec_echo() {
+        // The spec echo pins `run.simd = "scalar"`; a document recording
+        // that backend parses, one recording another is corrupt.
         let mut doc = sample_doc();
-        doc.provenance.tuning = TuningDoc {
-            mode: "on".into(),
-            gemm_block_cols: 0,
-            gemm_min_flops: 0,
-            im2col_cap_elems: 1 << 20,
-            choices: vec![TuningChoiceDoc {
-                key: "gemm-mm:256x256x256:scalar:t1".into(),
-                config: "block=128 workers=1".into(),
-                source: "autotune".into(),
-            }],
-        };
-        let back = ResultsDoc::parse_str(&doc.to_json()).unwrap();
-        assert_eq!(back, doc);
-        assert_eq!(back.provenance.tuning.choices[0].source, "autotune");
-    }
-
-    #[test]
-    fn rejects_tuning_irregularities() {
-        // Unknown mode.
-        let mut doc = sample_doc();
-        doc.provenance.tuning.mode = "sometimes".into();
-        let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
-        assert!(e.0.contains("unknown tuning mode `sometimes`"), "{e}");
-
-        // Choices recorded under mode off.
-        let mut doc = sample_doc();
-        doc.provenance.tuning.choices.push(TuningChoiceDoc {
-            key: "gemm-mm:8x8x8:scalar:t1".into(),
-            config: "block=32 workers=1".into(),
-            source: "autotune".into(),
-        });
-        let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
-        assert!(e.0.contains("mode `off` but records 1 tuner choice"), "{e}");
-
-        // Missing block entirely (a v4-shaped envelope).
-        let mut root = sample_doc().to_value();
-        let mut envelope = Value::table();
-        envelope.set("simd", Value::Str("scalar".into()));
-        root.set("provenance", envelope);
-        let e = ResultsDoc::from_value(&root).unwrap_err();
-        assert!(e.0.contains("missing key `provenance.tuning`"), "{e}");
-    }
-
-    #[test]
-    fn rejects_tuning_contradicting_spec_echo() {
-        // The spec echo pins `tune.mode = "on"`, the document header
-        // says the run executed with tuning off.
-        let mut doc = sample_doc();
-        doc.spec.tune.mode = Some("on".into());
-        doc.provenance.tuning.mode = "on".into();
+        doc.spec.run.simd = Some("scalar".into());
+        doc.provenance.simd = "scalar".into();
         let good = ResultsDoc::parse_str(&doc.to_json()).unwrap();
-        assert_eq!(good.provenance.tuning.mode, "on");
+        assert_eq!(good.provenance.simd, "scalar");
 
-        doc.provenance.tuning.mode = "off".into();
+        doc.provenance.simd = "avx2".into();
         let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
-        assert!(e.0.contains("contradicts its spec echo's `tune.mode`"), "{e}");
-
-        // A pinned knob must match, too.
-        let mut doc = sample_doc();
-        doc.spec.tune.gemm_block = Some(256);
-        doc.provenance.tuning.gemm_block_cols = 128;
-        let e = ResultsDoc::parse_str(&doc.to_json()).unwrap_err();
-        assert!(e.0.contains("contradicts its spec echo's `tune.gemm_block`"), "{e}");
+        assert!(e.0.contains("document `provenance.simd` (`avx2`)"), "{e}");
+        assert!(e.0.contains("contradicts its spec echo's `run.simd` (`scalar`)"), "{e}");
     }
 
     #[test]
     fn merge_provenance_keeps_shared_and_refuses_mixed_simd() {
-        let base = Provenance { simd: "scalar".into(), tuning: TuningDoc::default() };
-        let tuned = Provenance {
-            tuning: TuningDoc { mode: "on".into(), gemm_block_cols: 128, ..TuningDoc::default() },
-            ..base.clone()
-        };
-        let avx2 = Provenance { simd: "avx2".into(), ..base.clone() };
+        let base = Provenance { simd: "scalar".into() };
+        let avx2 = Provenance { simd: "avx2".into() };
         let cases: [(&[&Provenance], Result<&Provenance, &str>); 4] = [
+            (&[&base], Ok(&base)),
             (&[&base, &base], Ok(&base)),
-            (&[&tuned, &tuned], Ok(&tuned)),
-            (&[&base, &tuned], Ok(&base)),
+            (&[&avx2, &avx2, &avx2], Ok(&avx2)),
             (&[&base, &avx2], Err("SIMD backend `avx2`")),
         ];
         for (parts, want) in cases {

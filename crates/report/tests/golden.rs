@@ -34,15 +34,10 @@ fn regenerate_fixtures() {
         let text = std::fs::read_to_string(&path).unwrap();
         let mut root = parse_json(&text).unwrap();
         root.set("swim_results_version", Value::Int(swim_report::schema::RESULTS_VERSION));
-        // v5 -> v6: the top-level `simd` and `tuning` keys move,
-        // unchanged, into the `provenance` envelope.
-        if let Value::Table(entries) = &mut root {
-            let (moved, kept): (Vec<_>, Vec<_>) =
-                entries.drain(..).partition(|(k, _)| k == "simd" || k == "tuning");
-            *entries = kept;
-            if !moved.is_empty() {
-                root.set("provenance", Value::Table(moved));
-            }
+        // v6 -> v7: the `provenance.tuning` block is gone; `simd` stays.
+        if let Some(Value::Table(entries)) = root.get("provenance").cloned() {
+            let kept = entries.into_iter().filter(|(k, _)| k != "tuning").collect();
+            root.set("provenance", Value::Table(kept));
         }
         let doc = ResultsDoc::from_value(&root).unwrap_or_else(|e| panic!("{name}: {e}"));
         std::fs::write(&path, doc.to_json()).unwrap();

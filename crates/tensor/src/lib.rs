@@ -22,11 +22,10 @@
 //!   scalar reference, selected once at startup via runtime feature
 //!   detection, overridable via `SWIM_SIMD`) that the GEMM microkernel
 //!   and the workspace's elementwise hot paths dispatch through.
-//! * [`tune`] — the unified [`tune::KernelTuning`] configuration and the
-//!   shape-keyed autotuner behind every kernel performance knob (GEMM
-//!   threads/blocking/threading threshold, conv im2col chunk cap), with
-//!   an optional host-fingerprinted on-disk winner cache. Timing-only by
-//!   contract: tuning never changes result bytes.
+//! * [`tune`] — the [`tune::KernelTuning`] configuration: the built-in
+//!   GEMM plan (worker threads, block width, threading threshold) and the
+//!   conv im2col chunk cap. Timing-only by contract: the configuration
+//!   never changes result bytes.
 //!
 //! # Example
 //!
@@ -60,7 +59,7 @@ pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Serializes the unit tests that read or override the process-global
-/// SIMD backend or kernel tuning. The test harness runs tests on
+/// SIMD backend or kernel configuration. The test harness runs tests on
 /// parallel threads, so a test comparing two kernel calls could
 /// otherwise observe another test's temporary override between them.
 #[cfg(test)]

@@ -4,14 +4,13 @@
 //! [`crate::conv::im2col`], reduce to the three GEMM variants here. All
 //! three route through one blocked, register-tiled kernel ([`MR`]×[`NR`]
 //! accumulator tiles over a packed right-hand operand), with a
-//! multithreaded row-panel path above [`PARALLEL_MIN_FLOPS`] (tunable via
-//! [`crate::tune::KernelTuning`]). The transposed variants
-//! ([`matmul_at`], [`matmul_bt`]) pack their panels *directly from the
-//! strided source layout* — no transposed copy is ever materialized — and
-//! the `*_into` entry points ([`matmul_into`], [`matmul_at_into`],
-//! [`matmul_bt_into`]) write into caller-owned buffers so hot paths can
-//! run without per-call allocation (the packed-B scratch is thread-local
-//! and reused across products).
+//! multithreaded row-panel path above [`PARALLEL_MIN_FLOPS`]. The
+//! transposed variants ([`matmul_at`], [`matmul_bt`]) pack their panels
+//! *directly from the strided source layout* — no transposed copy is
+//! ever materialized — and the `*_into` entry points ([`matmul_into`],
+//! [`matmul_at_into`], [`matmul_bt_into`]) write into caller-owned
+//! buffers so hot paths can run without per-call allocation (the
+//! packed-B scratch is thread-local and reused across products).
 //!
 //! # Determinism contract
 //!
@@ -43,42 +42,25 @@
 
 use crate::simd::{self, Backend};
 use crate::tensor::Tensor;
-use crate::tune::{self, GemmKind, GemmPlan};
+use crate::tune::{self, GemmPlan};
 
 /// Rows per microkernel register tile.
 pub const MR: usize = 4;
 /// Columns per packed panel (and per microkernel register tile).
 pub const NR: usize = 32;
-/// Default minimum multiply count (`m·n·k`) before the row-panel
-/// threaded path engages; below it, thread-spawn overhead dominates.
-/// Override at runtime via [`crate::tune::KernelTuning`].
+/// Minimum multiply count (`m·n·k`) before the row-panel threaded path
+/// engages; below it, thread-spawn overhead dominates.
 ///
-/// The default was chosen by measuring the spawn+join cost of the scoped
-/// worker threads (~15–40 µs per spawn on the benchmarked hosts) against
-/// the kernel's single-core throughput (several GFLOP/s): at `2²²`
-/// multiplies a serial product runs ≈1 ms, so the fixed threading cost
-/// stays in the low single-digit percents. Re-measured 2026-08 (see
-/// `BENCH_sweep.json`'s `autotune` group and `docs/autotune.md`): still
-/// the best fixed threshold on the measured hosts, and under
-/// `tune.mode = on` the autotuner refines the serial/threaded decision
-/// per shape anyway.
+/// Chosen by measuring the spawn+join cost of the scoped worker threads
+/// (~15–40 µs per spawn on the benchmarked hosts) against the kernel's
+/// single-core throughput (several GFLOP/s): at `2²²` multiplies a
+/// serial product runs ≈1 ms, so the fixed threading cost stays in the
+/// low single-digit percents.
 pub const PARALLEL_MIN_FLOPS: usize = 1 << 22;
 
 /// The worker-thread count large products will use.
 pub fn gemm_threads() -> usize {
     tune::gemm_threads()
-}
-
-/// The threading threshold large products currently use.
-pub fn gemm_parallel_min_flops() -> usize {
-    tune::gemm_min_flops()
-}
-
-/// The effective column-block width for an `m×k · k×n` product under
-/// the pinned/heuristic path (shape-keyed autotuned products may pick a
-/// different width; see [`crate::tune::gemm_plan`]).
-pub fn gemm_block_cols(k: usize, n: usize) -> usize {
-    tune::gemm_block_cols(k, n)
 }
 
 /// Strided view of a rank-2 operand: logical element `(i, j)` lives at
@@ -547,7 +529,7 @@ fn tile_1(backend: Backend, k: usize, a0: &[f32], panel: &[f32], acc: &mut [f32;
 /// Computes rows `[row0, row0 + out.len()/n)` of `C = A·B` into `out`,
 /// reading the packed panels of `B` and contiguous A rows (`row_stride`
 /// apart). Strided left operands are packed before this runs (see
-/// [`gemm_strided_into`]). The backend is resolved once per product and
+/// `gemm_with_plan`). The backend is resolved once per product and
 /// passed down so one GEMM never mixes microkernel implementations,
 /// even if a concurrent test scope flips the process-global selection.
 #[allow(clippy::too_many_arguments)]
@@ -615,27 +597,40 @@ thread_local! {
     static PACKED_A: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Shared kernel: `C = A·B` for logical `a: m×k`, `b: k×n` (each read
-/// through its strides), with an explicit thread count (`0` = the global
-/// setting), written into `out` (`m·n`, fully overwritten).
+/// Which operand a GEMM entry point reads transposed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GemmKind {
+    /// `C = A·B`: `a` row-major `m×k`, `b` row-major `k×n`.
+    MM,
+    /// `C = Aᵀ·B`: `a` stored row-major as `k×m`.
+    AT,
+    /// `C = A·Bᵀ`: `b` stored row-major as `n×k`.
+    BT,
+}
+
+/// `C = A·B` (with the operand layout of `kind`) under an explicit
+/// [`GemmPlan`], written into `out` (`m·n`, fully overwritten).
 ///
-/// The execution plan — worker count and block width, both byte-neutral —
-/// is resolved once per product through [`crate::tune::gemm_plan`]
-/// (pin/heuristic, or the shape-keyed autotune cache when tuning is on)
-/// and passed down, so one GEMM never mixes configs mid-flight.
+/// Every entry point of this module runs through here with the built-in
+/// [`tune::gemm_plan`]; passing another plan changes only speed, never
+/// a bit of the result (see the module's determinism contract).
+///
+/// # Panics
+///
+/// Panics if any slice length disagrees with `m`, `k`, `n`.
 #[allow(clippy::too_many_arguments)]
-fn gemm_strided_into(
+pub fn matmul_with_plan(
     kind: GemmKind,
     a: &[f32],
-    a_strides: Strides,
     b: &[f32],
-    b_strides: Strides,
     m: usize,
     k: usize,
     n: usize,
-    threads: usize,
+    plan: GemmPlan,
     out: &mut [f32],
 ) {
+    assert_eq!(a.len(), m * k, "matmul_with_plan: left operand length");
+    assert_eq!(b.len(), k * n, "matmul_with_plan: right operand length");
     assert_eq!(out.len(), m * n, "gemm output buffer must hold m·n elements");
     if m == 0 || n == 0 {
         return;
@@ -644,14 +639,17 @@ fn gemm_strided_into(
         out.fill(0.0); // all-zero by definition; nothing to accumulate
         return;
     }
-    let plan = tune::gemm_plan(kind, m, k, n, threads);
+    let (a_strides, b_strides) = match kind {
+        GemmKind::MM => (Strides::contiguous(k), Strides::contiguous(n)),
+        GemmKind::AT => (Strides::transposed(m), Strides::contiguous(n)),
+        GemmKind::BT => (Strides::contiguous(k), Strides::transposed(k)),
+    };
     gemm_with_plan(a, a_strides, b, b_strides, m, k, n, plan, out);
 }
 
-/// [`gemm_strided_into`] below the plan resolution: executes one product
-/// under an explicit, already-chosen [`GemmPlan`]. Also the entry the
-/// autotuner's timing loop uses — candidates are forced here directly,
-/// so tuning a shape can never recurse back into the tuner.
+/// The strided kernel below [`matmul_with_plan`]: `C = A·B` for logical
+/// `a: m×k`, `b: k×n`, each read through its strides, under one plan,
+/// so one GEMM never mixes configs mid-flight.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with_plan(
     a: &[f32],
@@ -713,25 +711,6 @@ fn gemm_with_plan(
     });
 }
 
-/// Contiguous `C = A·B` under a forced [`GemmPlan`] — the autotuner's
-/// timing-loop entry (bypasses plan resolution entirely).
-pub(crate) fn gemm_forced(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    plan: GemmPlan,
-    out: &mut [f32],
-) {
-    assert_eq!(out.len(), m * n, "gemm output buffer must hold m·n elements");
-    if m == 0 || n == 0 || k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    gemm_with_plan(a, Strides::contiguous(k), b, Strides::contiguous(n), m, k, n, plan, out);
-}
-
 /// `C = A·B` on raw row-major slices, written into `out`.
 ///
 /// The allocation-free entry point behind [`matmul`]: layers that keep
@@ -742,20 +721,7 @@ pub(crate) fn gemm_forced(
 ///
 /// Panics if any slice length disagrees with `m`, `k`, `n`.
 pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "matmul_into: left operand length");
-    assert_eq!(b.len(), k * n, "matmul_into: right operand length");
-    gemm_strided_into(
-        GemmKind::MM,
-        a,
-        Strides::contiguous(k),
-        b,
-        Strides::contiguous(n),
-        m,
-        k,
-        n,
-        0,
-        out,
-    );
+    matmul_with_plan(GemmKind::MM, a, b, m, k, n, tune::gemm_plan(m, k, n, 0), out);
 }
 
 /// `C = Aᵀ·B` on raw slices (`a` stored row-major as `k×m`), written into
@@ -765,20 +731,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut
 ///
 /// Panics if any slice length disagrees with `m`, `k`, `n`.
 pub fn matmul_at_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "matmul_at_into: left operand length");
-    assert_eq!(b.len(), k * n, "matmul_at_into: right operand length");
-    gemm_strided_into(
-        GemmKind::AT,
-        a,
-        Strides::transposed(m),
-        b,
-        Strides::contiguous(n),
-        m,
-        k,
-        n,
-        0,
-        out,
-    );
+    matmul_with_plan(GemmKind::AT, a, b, m, k, n, tune::gemm_plan(m, k, n, 0), out);
 }
 
 /// `C = A·Bᵀ` on raw slices (`b` stored row-major as `n×k`), written into
@@ -788,20 +741,7 @@ pub fn matmul_at_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &
 ///
 /// Panics if any slice length disagrees with `m`, `k`, `n`.
 pub fn matmul_bt_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "matmul_bt_into: left operand length");
-    assert_eq!(b.len(), n * k, "matmul_bt_into: right operand length");
-    gemm_strided_into(
-        GemmKind::BT,
-        a,
-        Strides::contiguous(k),
-        b,
-        Strides::transposed(k),
-        m,
-        k,
-        n,
-        0,
-        out,
-    );
+    matmul_with_plan(GemmKind::BT, a, b, m, k, n, tune::gemm_plan(m, k, n, 0), out);
 }
 
 /// `C = A · B` for rank-2 tensors `A: [m, k]`, `B: [k, n]`.
@@ -913,18 +853,8 @@ pub fn matmul_with_threads(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
     let (kb, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, kb, "matmul: inner dimensions {k} vs {kb}");
     let mut out = vec![0.0f32; m * n];
-    gemm_strided_into(
-        GemmKind::MM,
-        a.data(),
-        Strides::contiguous(k),
-        b.data(),
-        Strides::contiguous(n),
-        m,
-        k,
-        n,
-        threads.max(1),
-        &mut out,
-    );
+    let plan = tune::gemm_plan(m, k, n, threads.max(1));
+    matmul_with_plan(GemmKind::MM, a.data(), b.data(), m, k, n, plan, &mut out);
     Tensor::from_vec(out, &[m, n]).expect("matmul output shape is consistent")
 }
 
@@ -1062,19 +992,60 @@ mod tests {
         }
     }
 
-    /// Block size is a pure performance knob: any setting gives the same
-    /// bits.
+    /// Runs `kind` through the default entry point, the reference every
+    /// explicit plan must reproduce bit for bit.
+    fn default_gemm(kind: GemmKind, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        match kind {
+            GemmKind::MM => matmul_into(a, b, m, k, n, &mut out),
+            GemmKind::AT => matmul_at_into(a, b, m, k, n, &mut out),
+            GemmKind::BT => matmul_bt_into(a, b, m, k, n, &mut out),
+        }
+        out
+    }
+
+    /// Block width is a pure performance choice: every width gives the
+    /// default plan's bits, for all three operand layouts.
     #[test]
     fn block_cols_knob_does_not_change_results() {
         let _serial = crate::serial_guard();
         let mut rng = Prng::seed_from_u64(13);
-        let a = Tensor::randn(&[24, 70], &mut rng);
-        let b = Tensor::randn(&[70, 90], &mut rng);
-        let baseline = matmul(&a, &b);
-        for cols in [NR, 32, 64, 4096] {
-            let pinned = tune::KernelTuning { gemm_block_cols: cols, ..tune::current() };
-            let blocked = tune::with_tuning(&pinned, || matmul(&a, &b));
-            assert_eq!(blocked.data(), baseline.data(), "block_cols = {cols}");
+        let (m, k, n) = (24, 70, 90);
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let heuristic = tune::gemm_plan(m, k, n, 1).block_cols;
+        for kind in [GemmKind::MM, GemmKind::AT, GemmKind::BT] {
+            let baseline = default_gemm(kind, a.data(), b.data(), m, k, n);
+            for block_cols in [NR, 64, 128, 256, 1024, 4096, heuristic] {
+                let plan = GemmPlan { workers: 1, block_cols };
+                let mut out = vec![f32::NAN; m * n];
+                matmul_with_plan(kind, a.data(), b.data(), m, k, n, plan, &mut out);
+                assert_eq!(out, baseline, "{kind:?}, {plan:?}");
+            }
+        }
+    }
+
+    /// The threading threshold is a pure performance choice: a product
+    /// below [`PARALLEL_MIN_FLOPS`] stays serial by default, and forcing
+    /// it onto the threaded path gives the same bits.
+    #[test]
+    fn min_flops_knob_does_not_change_results() {
+        let _serial = crate::serial_guard();
+        let mut rng = Prng::seed_from_u64(15);
+        let (m, k, n) = (40, 30, 50);
+        assert!(m * k * n < PARALLEL_MIN_FLOPS);
+        assert_eq!(tune::gemm_plan(m, k, n, 4).workers, 1);
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let block_cols = tune::gemm_plan(m, k, n, 1).block_cols;
+        for kind in [GemmKind::MM, GemmKind::AT, GemmKind::BT] {
+            let baseline = default_gemm(kind, a.data(), b.data(), m, k, n);
+            for workers in [2, 3, 4] {
+                let plan = GemmPlan { workers, block_cols };
+                let mut out = vec![f32::NAN; m * n];
+                matmul_with_plan(kind, a.data(), b.data(), m, k, n, plan, &mut out);
+                assert_eq!(out, baseline, "{kind:?}, {plan:?}");
+            }
         }
     }
 
@@ -1152,21 +1123,6 @@ mod tests {
         let zero = Tensor::zeros(&[9, 7]);
         matmul_into(zero.data(), b.data(), 9, 7, 11, &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
-    }
-
-    /// The threading threshold is a pure performance knob.
-    #[test]
-    fn min_flops_knob_does_not_change_results() {
-        let _serial = crate::serial_guard();
-        let mut rng = Prng::seed_from_u64(15);
-        let a = Tensor::randn(&[40, 30], &mut rng);
-        let b = Tensor::randn(&[30, 50], &mut rng);
-        let baseline = matmul(&a, &b);
-        // A threshold of 1 forces the threaded path.
-        let forced = tune::KernelTuning { gemm_min_flops: 1, ..tune::current() };
-        let forced = tune::with_tuning(&forced, || matmul(&a, &b));
-        assert_eq!(forced.data(), baseline.data());
-        assert_eq!(gemm_parallel_min_flops(), PARALLEL_MIN_FLOPS);
     }
 
     #[test]
