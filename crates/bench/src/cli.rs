@@ -125,11 +125,6 @@ impl Args {
             None => Ok(default),
         }
     }
-
-    /// `--name value` as `f32`, with default.
-    pub fn get_f32(&self, name: &str, default: f32) -> Result<f32, String> {
-        self.get_f64(name, default as f64).map(|v| v as f32)
-    }
 }
 
 /// Resolves the kernel configuration from the `--gemm-threads` flag.
@@ -193,7 +188,7 @@ mod tests {
     fn defaults_apply() {
         let a = parse(&[]);
         assert_eq!(a.get_usize("runs", 7), Ok(7));
-        assert_eq!(a.get_f32("width", 0.25), Ok(0.25));
+        assert_eq!(a.get_f64("width", 0.25), Ok(0.25));
     }
 
     #[test]

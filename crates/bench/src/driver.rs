@@ -14,7 +14,7 @@ use swim_core::montecarlo::{
     SweepPoint,
 };
 use swim_core::report::{fmt_mean_std, Table};
-use swim_core::select::{default_selectors, Selector};
+use swim_core::select::Selector;
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_tensor::stats::Running;
 use swim_tensor::tune;
@@ -88,29 +88,6 @@ pub struct DriverConfig {
     pub run_offset: usize,
     /// What happens when one Monte Carlo run panics.
     pub on_panic: PanicPolicy,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            fractions: vec![0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
-            runs: 25,
-            threads: swim_core::montecarlo::num_threads(),
-            gemm_threads: if swim_core::montecarlo::num_threads() > 1 { 1 } else { 0 },
-            gemm_block: 0,
-            eval_batch: 256,
-            seed: 0,
-            insitu: true,
-            // Small steps: each on-device update rewrites every weight
-            // with fresh programming noise, so aggressive learning rates
-            // hurt more than they help (visible as an accuracy dip at
-            // low NWC).
-            insitu_lr: 0.005,
-            insitu_batch: 32,
-            run_offset: 0,
-            on_panic: PanicPolicy::FailFast,
-        }
-    }
 }
 
 impl DriverConfig {
@@ -283,12 +260,6 @@ pub fn curves_from_raw(
     MethodCurves { methods, insitu, insitu_raw }
 }
 
-/// Runs the paper's four-method comparison (SWIM, magnitude, random,
-/// in-situ) — [`run_methods`] over the default selector registry.
-pub fn run_all_methods(prepared: &mut Prepared, cfg: &DriverConfig) -> MethodCurves {
-    run_methods(prepared, &default_selectors(), cfg)
-}
-
 impl MethodCurves {
     /// The curve of a method by display name.
     pub fn curve(&self, name: &str) -> Option<&[SweepPoint]> {
@@ -385,20 +356,46 @@ mod tests {
     use super::*;
     use crate::prep::{prepare, PrepConfig, Scenario};
     use swim_cim::DeviceConfig;
+    use swim_core::select::default_selectors;
+    use swim_exp::spec::ExperimentSpec;
+
+    /// The driver view of a spec parsed from `toml`, with the installed
+    /// kernel configuration (so the driver leaves it as it is).
+    fn config(toml: &str) -> DriverConfig {
+        let t = tune::current();
+        DriverConfig::from_spec(
+            &ExperimentSpec::parse_str(toml).unwrap(),
+            t.gemm_threads,
+            t.gemm_block_cols,
+        )
+    }
+
+    #[test]
+    fn from_spec_covers_the_shard_range() {
+        let cfg = config(
+            "seed = 11\n[sweep]\nfractions = [0.0, 0.5]\n\
+             [montecarlo]\nruns = 4\nthreads = 2\n",
+        );
+        assert_eq!((cfg.runs, cfg.run_offset, cfg.threads, cfg.seed), (4, 0, 2, 11));
+        assert_eq!(cfg.fractions, vec![0.0, 0.5]);
+        assert_eq!(cfg.eval_batch, 256);
+        assert!(cfg.insitu);
+        // Shard 1 of 2 over 25 runs is global runs 12..25.
+        let cfg = config("[run]\nshard = \"1/2\"\n[montecarlo]\nruns = 25\n");
+        assert_eq!((cfg.run_offset, cfg.runs), (12, 13));
+        assert_eq!(cfg.on_panic, PanicPolicy::FailFast);
+    }
 
     #[test]
     fn driver_smoke_test() {
         let prep_cfg = PrepConfig { samples: 400, epochs: 1, ..Default::default() };
         let mut prepared =
             prepare(Scenario::LenetMnist, DeviceConfig::rram().with_sigma(0.15), &prep_cfg);
-        let cfg = DriverConfig {
-            fractions: vec![0.0, 0.5, 1.0],
-            runs: 3,
-            threads: 4,
-            eval_batch: 80,
-            ..Default::default()
-        };
-        let curves = run_all_methods(&mut prepared, &cfg);
+        let cfg = config(
+            "[sweep]\nfractions = [0.0, 0.5, 1.0]\n\
+             [montecarlo]\nruns = 3\nthreads = 4\neval_batch = 80\n",
+        );
+        let curves = run_methods(&mut prepared, &default_selectors(), &cfg);
         assert_eq!(curves.swim().len(), 3);
         assert_eq!(curves.insitu.len(), 3);
         let table = curves.to_table("smoke");
@@ -416,14 +413,11 @@ mod tests {
         let prep_cfg = PrepConfig { samples: 300, epochs: 1, ..Default::default() };
         let mut prepared =
             prepare(Scenario::LenetMnist, DeviceConfig::rram().with_sigma(0.15), &prep_cfg);
-        let cfg = DriverConfig {
-            fractions: vec![0.0, 1.0],
-            runs: 2,
-            threads: 2,
-            eval_batch: 60,
-            ..Default::default()
-        };
-        let curves = run_all_methods(&mut prepared, &cfg);
+        let cfg = config(
+            "[sweep]\nfractions = [0.0, 1.0]\n\
+             [montecarlo]\nruns = 2\nthreads = 2\neval_batch = 60\n",
+        );
+        let curves = run_methods(&mut prepared, &default_selectors(), &cfg);
         let names: Vec<&str> = curves.methods.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
@@ -443,15 +437,11 @@ mod tests {
         let prep_cfg = PrepConfig { samples: 300, epochs: 1, ..Default::default() };
         let mut prepared =
             prepare(Scenario::LenetMnist, DeviceConfig::rram().with_sigma(0.15), &prep_cfg);
-        let cfg = DriverConfig {
-            fractions: vec![0.0, 1.0],
-            runs: 2,
-            threads: 2,
-            eval_batch: 60,
-            insitu: false,
-            ..Default::default()
-        };
-        let selectors = swim_core::select::default_selectors();
+        let cfg = config(
+            "[selection]\ninsitu = false\n[sweep]\nfractions = [0.0, 1.0]\n\
+             [montecarlo]\nruns = 2\nthreads = 2\neval_batch = 60\n",
+        );
+        let selectors = default_selectors();
         let curves = run_methods(&mut prepared, &selectors[..1], &cfg);
         assert!(curves.insitu.is_empty());
         assert_eq!(curves.methods.len(), 1);

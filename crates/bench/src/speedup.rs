@@ -53,20 +53,6 @@ pub fn nwc_to_reach(points: &[SweepPoint], target_accuracy: f64) -> Option<f64> 
     None
 }
 
-/// Speed-up of `fast` over `slow` for reaching `target_accuracy`
-/// (`slow_nwc / fast_nwc`). `None` when either method misses the target
-/// or the fast method needs zero cycles (infinite speed-up is reported
-/// by the caller instead).
-pub fn speedup_at(fast: &[SweepPoint], slow: &[SweepPoint], target_accuracy: f64) -> Option<f64> {
-    let f = nwc_to_reach(fast, target_accuracy)?;
-    let s = nwc_to_reach(slow, target_accuracy)?;
-    if f <= 0.0 {
-        None
-    } else {
-        Some(s / f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,14 +81,6 @@ mod tests {
         let curve = vec![mk(0.0, 80.0), mk(1.0, 100.0)];
         let x = nwc_to_reach(&curve, 90.0).unwrap();
         assert!((x - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let fast = vec![mk(0.0, 80.0), mk(0.1, 95.0)];
-        let slow = vec![mk(0.0, 80.0), mk(0.9, 95.0)];
-        let s = speedup_at(&fast, &slow, 95.0).unwrap();
-        assert!((s - 9.0).abs() < 1e-9);
     }
 
     #[test]

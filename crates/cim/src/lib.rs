@@ -15,9 +15,9 @@
 //!   through bit-slicing ([`swim_quant::DeviceSlicing`]), returning noisy
 //!   weights plus exact pulse counts — the bridge between the neural
 //!   network world and the device world;
-//! * [`crossbar`] — a crossbar tile model (differential columns for
-//!   signed weights, optional ADC quantization) performing matrix-vector
-//!   multiplication in the "analog" domain.
+//! * [`model::DeviceModel`] — the device-model zoo (RRAM reference,
+//!   MRAM stochastic, SRAM V<sub>t</sub>, drifting RRAM and PCM) that
+//!   specs select by key.
 //!
 //! # Calibration against the paper
 //!
@@ -46,18 +46,12 @@
 
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod crossbar;
 pub mod device;
 pub mod drift;
 pub mod mapping;
 pub mod model;
-pub mod tiles;
-pub mod variation;
 pub mod writeverify;
 
-pub use cost::{CostEstimate, CostModel};
-pub use crossbar::{Crossbar, CrossbarConfig};
 pub use device::{DeviceConfig, DeviceTech};
 pub use drift::DriftModel;
 pub use mapping::{ProgramSummary, WeightMapper};
@@ -65,6 +59,4 @@ pub use model::{
     default_device_model, device_model_by_name, device_model_keys, device_model_registry,
     DeviceModel, DriftingModel, MramStochastic, RramGaussian, SramVt, DEFAULT_DEVICE_MODEL,
 };
-pub use tiles::TiledMatrix;
-pub use variation::CorrelatedVariation;
 pub use writeverify::{program_once, write_verify, ProgramOutcome};

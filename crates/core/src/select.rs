@@ -105,7 +105,10 @@ pub trait Selector: Send + Sync {
         false
     }
 
-    /// Builds the most-important-first ranking of flat weight indices.
+    /// Writes the most-important-first ranking of flat weight indices
+    /// into `out`, replacing its contents (capacity is reused, so
+    /// stochastic selectors can re-rank inside every Monte Carlo run
+    /// without allocating).
     ///
     /// `rng` is `Some` for stochastic selectors inside Monte Carlo runs;
     /// deterministic selectors are called with `None`.
@@ -113,19 +116,20 @@ pub trait Selector: Send + Sync {
     /// # Panics
     ///
     /// May panic if the selector requires an RNG and none is given.
-    fn rank(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>) -> Vec<usize>;
+    fn rank_into(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>, out: &mut Vec<usize>);
 
-    /// [`Selector::rank`] into a caller-owned buffer (cleared and
-    /// refilled), so stochastic selectors can re-rank inside every Monte
-    /// Carlo run without allocating.
-    ///
-    /// The default delegates to `rank` (one allocation per call);
-    /// selectors on the hot path override it. The produced order must be
-    /// identical to `rank`'s.
-    fn rank_into(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend_from_slice(&self.rank(inputs, rng));
+    /// [`Selector::rank_into`] into a fresh vector.
+    fn rank(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.rank_into(inputs, rng, &mut out);
+        out
     }
+}
+
+/// Resets `out` to the identity order `0..len`.
+fn fill_identity(out: &mut Vec<usize>, len: usize) {
+    out.clear();
+    out.extend(0..len);
 }
 
 /// Descending order by `key`, ties broken descending by `tie`.
@@ -149,10 +153,9 @@ impl Selector for SwimSelector {
         "second-derivative ranking with |w| tie-break (paper §3.2)"
     }
 
-    fn rank(&self, inputs: &SelectionInputs, _rng: Option<&mut Prng>) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..inputs.len()).collect();
-        sort_desc_with_tie(&mut idx, inputs.sensitivities, inputs.magnitudes);
-        idx
+    fn rank_into(&self, inputs: &SelectionInputs, _rng: Option<&mut Prng>, out: &mut Vec<usize>) {
+        fill_identity(out, inputs.len());
+        sort_desc_with_tie(out, inputs.sensitivities, inputs.magnitudes);
     }
 }
 
@@ -169,12 +172,11 @@ impl Selector for MagnitudeSelector {
         "descending |w| baseline"
     }
 
-    fn rank(&self, inputs: &SelectionInputs, _rng: Option<&mut Prng>) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..inputs.len()).collect();
-        idx.sort_by(|&a, &b| {
+    fn rank_into(&self, inputs: &SelectionInputs, _rng: Option<&mut Prng>, out: &mut Vec<usize>) {
+        fill_identity(out, inputs.len());
+        out.sort_by(|&a, &b| {
             inputs.magnitudes[b].partial_cmp(&inputs.magnitudes[a]).unwrap_or(Ordering::Equal)
         });
-        idx
     }
 }
 
@@ -195,16 +197,9 @@ impl Selector for RandomSelector {
         true
     }
 
-    fn rank(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>) -> Vec<usize> {
-        let mut idx = Vec::new();
-        self.rank_into(inputs, rng, &mut idx);
-        idx
-    }
-
     fn rank_into(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>, out: &mut Vec<usize>) {
         let rng = rng.expect("Random selector requires an RNG");
-        out.clear();
-        out.extend(0..inputs.len());
+        fill_identity(out, inputs.len());
         rng.shuffle(out);
     }
 }
@@ -227,13 +222,12 @@ impl Selector for SwimNoTieBreakSelector {
         "second-derivative ranking only; ties stay in index order"
     }
 
-    fn rank(&self, inputs: &SelectionInputs, _rng: Option<&mut Prng>) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..inputs.len()).collect();
+    fn rank_into(&self, inputs: &SelectionInputs, _rng: Option<&mut Prng>, out: &mut Vec<usize>) {
+        fill_identity(out, inputs.len());
         // Stable sort: equal sensitivities keep ascending index order.
-        idx.sort_by(|&a, &b| {
+        out.sort_by(|&a, &b| {
             inputs.sensitivities[b].partial_cmp(&inputs.sensitivities[a]).unwrap_or(Ordering::Equal)
         });
-        idx
     }
 }
 
@@ -262,9 +256,9 @@ impl Selector for LayerBalancedSelector {
         "per-layer SWIM ranking merged proportionally across layers"
     }
 
-    fn rank(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>) -> Vec<usize> {
+    fn rank_into(&self, inputs: &SelectionInputs, rng: Option<&mut Prng>, out: &mut Vec<usize>) {
         if inputs.spans.is_empty() {
-            return SwimSelector.rank(inputs, rng);
+            return SwimSelector.rank_into(inputs, rng, out);
         }
         // Within-layer rank fraction per weight: position / layer length.
         let mut frac = vec![0.0f64; inputs.len()];
@@ -277,14 +271,13 @@ impl Selector for LayerBalancedSelector {
                 frac[w] = (pos as f64 + 0.5) / len as f64;
             }
         }
-        let mut idx: Vec<usize> = (0..inputs.len()).collect();
-        idx.sort_by(|&a, &b| match frac[a].partial_cmp(&frac[b]).unwrap_or(Ordering::Equal) {
+        fill_identity(out, inputs.len());
+        out.sort_by(|&a, &b| match frac[a].partial_cmp(&frac[b]).unwrap_or(Ordering::Equal) {
             Ordering::Equal => inputs.sensitivities[b]
                 .partial_cmp(&inputs.sensitivities[a])
                 .unwrap_or(Ordering::Equal),
             other => other,
         });
-        idx
     }
 }
 
@@ -434,6 +427,29 @@ mod tests {
     #[should_panic(expected = "requires an RNG")]
     fn random_without_rng_panics() {
         rank(&RandomSelector, &[0.0], &[0.0], None);
+    }
+
+    #[test]
+    fn rank_equals_rank_into_over_a_junk_buffer() {
+        // Ties in both keys exercise the stable-sort and tie-break paths.
+        let sens: Vec<f32> = (0..23).map(|i| [0.5, 2.0, 0.0, 2.0, 1.0][i % 5]).collect();
+        let mags: Vec<f32> = (0..23).map(|i| [0.3, 0.3, 0.9, 0.1][i % 4]).collect();
+        let spans = [(0usize, 10usize), (10, 4), (14, 9)];
+        for selector in registry() {
+            for spans in [&[][..], &spans[..]] {
+                let inputs = SelectionInputs::with_spans(&sens, &mags, spans);
+                for junk in [vec![], vec![usize::MAX; 5], vec![7; 40]] {
+                    let seeded = || selector.is_stochastic().then(|| Prng::seed_from_u64(9));
+                    let expected = selector.rank(&inputs, seeded().as_mut());
+                    let mut out = junk;
+                    selector.rank_into(&inputs, seeded().as_mut(), &mut out);
+                    assert_eq!(out, expected, "{} with {} spans", selector.key(), spans.len());
+                    let mut sorted = out;
+                    sorted.sort_unstable();
+                    assert_eq!(sorted, (0..sens.len()).collect::<Vec<_>>());
+                }
+            }
+        }
     }
 
     #[test]

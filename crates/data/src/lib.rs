@@ -17,8 +17,7 @@
 //! noise — any non-trivial classification task the models can learn
 //! exercises the identical pipeline (train → quantize → rank → program →
 //! evaluate). Absolute accuracies differ from the paper; the shape of the
-//! accuracy-vs-write-cycles trade-off is what carries over. See
-//! DESIGN.md §3.
+//! accuracy-vs-write-cycles trade-off is what carries over.
 //!
 //! All generation is deterministic given a seed.
 //!
@@ -37,7 +36,6 @@
 
 #![warn(missing_docs)]
 
-pub mod augment;
 pub mod dataset;
 pub mod digits;
 pub mod patterns;

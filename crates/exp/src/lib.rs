@@ -9,8 +9,8 @@
 //!   `Default`-based completion and unknown-key rejection,
 //! * writes back out losslessly (spec files and results documents are
 //!   diffable artifacts),
-//! * derives every per-stage config view the engine crates consume
-//!   (`SweepConfig`, `Alg1Config`, `InsituConfig`, `DeviceConfig`), and
+//! * derives the per-stage config views the engine crates consume
+//!   (`Alg1Config`, `DeviceConfig`, the shard run range), and
 //! * ships presets replicating each paper artifact ([`presets`]).
 //!
 //! The `swim` CLI in `swim-bench` is the main consumer: `swim run

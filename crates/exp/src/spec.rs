@@ -6,15 +6,14 @@
 //! definitions produce, and what the JSON results document echoes. It
 //! parses from the TOML subset (or JSON) of [`crate::value`], writes
 //! back out losslessly, rejects unknown keys, and derives the per-stage
-//! config views (`SweepConfig`, `Alg1Config`, `InsituConfig`,
-//! `DeviceConfig`) that the engine crates consume.
+//! config views (`Alg1Config`, `DeviceConfig`, the shard run range)
+//! that the engine crates consume.
 
 use crate::value::{parse_json, parse_loose, parse_toml, Reader, Value};
 use swim_cim::device::{DeviceConfig, DeviceTech};
 use swim_cim::model::{device_model_by_name, device_model_keys, DEFAULT_DEVICE_MODEL};
 use swim_core::algorithm::Alg1Config;
-use swim_core::insitu::InsituConfig;
-use swim_core::montecarlo::{PanicPolicy, SweepConfig};
+use swim_core::montecarlo::PanicPolicy;
 use swim_core::select::{selector_by_name, Selector};
 
 /// A spec parsing/validation error.
@@ -361,6 +360,9 @@ pub struct InsituSpec {
 
 impl Default for InsituSpec {
     fn default() -> Self {
+        // Small steps: each on-device update rewrites every weight with
+        // fresh programming noise, so aggressive learning rates hurt
+        // more than they help (visible as an accuracy dip at low NWC).
         InsituSpec { lr: 0.005, batch: 32 }
     }
 }
@@ -942,33 +944,6 @@ impl ExperimentSpec {
         }
     }
 
-    /// The [`SweepConfig`] view of this spec. For a sharded spec the
-    /// config covers only the shard's run range, with `run_offset`
-    /// preserving the global PRNG streams.
-    pub fn sweep_config(&self) -> SweepConfig {
-        let (start, end) = self.shard_run_range();
-        SweepConfig {
-            fractions: self.sweep.fractions.clone(),
-            runs: end - start,
-            threads: self.threads(),
-            eval_batch: self.montecarlo.eval_batch,
-            seed: self.seed,
-            run_offset: start,
-            on_panic: self.montecarlo.on_panic,
-        }
-    }
-
-    /// The [`InsituConfig`] view of this spec (checkpoints on the sweep
-    /// grid).
-    pub fn insitu_config(&self) -> InsituConfig {
-        InsituConfig {
-            lr: self.insitu.lr,
-            batch_size: self.insitu.batch,
-            eval_batch: self.montecarlo.eval_batch,
-            record_at: self.sweep.fractions.clone(),
-        }
-    }
-
     /// The [`Alg1Config`] view of this spec at one programming
     /// granularity.
     pub fn alg1_config_at(&self, granularity: f64) -> Alg1Config {
@@ -1341,13 +1316,10 @@ mod tests {
             "seed = 11\n[sweep]\nfractions = [0.0, 0.5]\n[montecarlo]\nruns = 4\nthreads = 2\n",
         )
         .unwrap();
-        let sweep = spec.sweep_config();
-        assert_eq!(sweep.runs, 4);
-        assert_eq!(sweep.threads, 2);
-        assert_eq!(sweep.seed, 11);
-        assert_eq!(sweep.fractions, vec![0.0, 0.5]);
-        let insitu = spec.insitu_config();
-        assert_eq!(insitu.record_at, vec![0.0, 0.5]);
+        assert_eq!(spec.shard_run_range(), (0, 4));
+        assert_eq!(spec.threads(), 2);
+        assert_eq!(spec.seed, 11);
+        assert_eq!(spec.sweep.fractions, vec![0.0, 0.5]);
         let alg1 = spec.alg1_config_at(0.05);
         assert_eq!(alg1.granularity, 0.05);
         assert_eq!(alg1.batch, 256);
@@ -1547,12 +1519,10 @@ mod tests {
             "seed = 5\n[run]\nshard = \"1/2\"\n[montecarlo]\nruns = 25\n",
         )
         .unwrap();
-        let cfg = spec.sweep_config();
-        assert_eq!((cfg.run_offset, cfg.runs), (12, 13));
-        assert_eq!(cfg.on_panic, PanicPolicy::FailFast);
+        assert_eq!(spec.shard_run_range(), (12, 25));
+        assert_eq!(spec.montecarlo.on_panic, PanicPolicy::FailFast);
         // The unsharded view covers everything from offset zero.
-        let cfg = ExperimentSpec::default().sweep_config();
-        assert_eq!((cfg.run_offset, cfg.runs), (0, 25));
+        assert_eq!(ExperimentSpec::default().shard_run_range(), (0, 25));
     }
 
     #[test]

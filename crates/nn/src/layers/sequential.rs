@@ -40,11 +40,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends a boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of direct child layers.
     pub fn len(&self) -> usize {
         self.layers.len()

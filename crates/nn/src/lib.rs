@@ -53,9 +53,7 @@ pub mod loss;
 pub mod models;
 pub mod network;
 pub mod optim;
-pub mod optim_adam;
 pub mod param;
-pub mod schedule;
 pub mod train;
 
 pub use arena::ActivationArena;

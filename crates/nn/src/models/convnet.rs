@@ -10,8 +10,9 @@ use swim_tensor::Prng;
 /// DNN+NeuroSim (paper ref \[6\]): three conv-conv-pool stages followed by
 /// two fully connected layers. At `width_factor = 1.0` it has ≈5.4×10⁶
 /// device-mapped weights (the paper reports 6.4×10⁶ for its NeuroSim
-/// ConvNet; the difference is the FC head width, documented in
-/// DESIGN.md). `width_factor` scales every channel/hidden width so the
+/// ConvNet; the difference is the FC head, whose hidden width of 1024
+/// is this reproduction's choice — see [`build`] for every layer shape).
+/// `width_factor` scales every channel/hidden width so the
 /// figure-regeneration benches can run at CPU-friendly sizes while
 /// exercising the identical architecture.
 #[derive(Debug, Clone, Copy, PartialEq)]

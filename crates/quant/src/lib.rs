@@ -17,7 +17,6 @@
 //! This crate provides that pipeline:
 //!
 //! * [`params::QuantParams`] — symmetric max-abs calibration, code ↔ value;
-//! * [`qtensor::QuantizedTensor`] — a quantized tensor with shared scale;
 //! * [`fake::fake_quant`] — straight-through fake quantization used for
 //!   quantization-aware training and activation quantization;
 //! * [`slicing`] — sign-magnitude K-bit slicing and reconstruction.
@@ -42,10 +41,8 @@
 
 pub mod fake;
 pub mod params;
-pub mod qtensor;
 pub mod slicing;
 
 pub use fake::{fake_quant, fake_quant_into, fake_quant_unsigned, fake_quant_unsigned_into};
 pub use params::QuantParams;
-pub use qtensor::QuantizedTensor;
 pub use slicing::DeviceSlicing;

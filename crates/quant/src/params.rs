@@ -92,11 +92,6 @@ impl QuantParams {
     pub fn half_step(&self) -> f32 {
         self.scale / 2.0
     }
-
-    /// Largest representable magnitude value.
-    pub fn max_value(&self) -> f32 {
-        self.dequantize(self.max_code())
-    }
 }
 
 impl fmt::Display for QuantParams {

@@ -994,7 +994,14 @@ mod tests {
 
     /// Runs `kind` through the default entry point, the reference every
     /// explicit plan must reproduce bit for bit.
-    fn default_gemm(kind: GemmKind, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    fn default_gemm(
+        kind: GemmKind,
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
         match kind {
             GemmKind::MM => matmul_into(a, b, m, k, n, &mut out),

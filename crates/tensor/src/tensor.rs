@@ -95,11 +95,6 @@ impl Tensor {
         self.shape.dims()
     }
 
-    /// The shape object (strides, offsets).
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Number of axes.
     pub fn rank(&self) -> usize {
         self.shape.rank()
@@ -123,11 +118,6 @@ impl Tensor {
     /// Mutable view of the underlying data.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning its data buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element at a multi-dimensional index.
@@ -250,30 +240,6 @@ impl Tensor {
         self.assert_same_shape(other);
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// `self -= other` elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn sub_assign_t(&mut self, other: &Tensor) {
-        self.assert_same_shape(other);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
-    /// `self *= other` elementwise (Hadamard product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn mul_assign_t(&mut self, other: &Tensor) {
-        self.assert_same_shape(other);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
         }
     }
 

@@ -15,8 +15,8 @@
 //! * [`nn`] — layers, models (LeNet / ConvNet / ResNet-18), losses, SGD,
 //!   and the paper's single-pass second-derivative backpropagation;
 //! * [`quant`] — M-bit quantization and K-bit device bit-slicing;
-//! * [`cim`] — the NVM device model, write-verify programming with exact
-//!   pulse accounting, and a crossbar tile;
+//! * [`cim`] — the NVM device models and write-verify programming with
+//!   exact pulse accounting;
 //! * [`data`] — procedural MNIST / CIFAR-10 / Tiny-ImageNet substitutes;
 //! * [`core`] — the SWIM algorithm, the paper's baselines (behind the
 //!   pluggable `Selector` trait), and the Monte Carlo evaluation harness;

@@ -73,7 +73,7 @@ fn quantization_bits_match_paper_settings() {
 #[test]
 fn paper_scale_weight_counts() {
     // The paper's weight counts: LeNet 1.05e5, ConvNet 6.4e6, ResNet-18
-    // 1.12e7. Ours land close (exact architecture notes in DESIGN.md).
+    // 1.12e7. Ours land close (each builder's doc gives its layer shapes).
     let mut lenet = LeNetConfig::paper().build(0);
     let n = lenet.device_weight_count();
     assert!((95_000..115_000).contains(&n), "LeNet {n}");

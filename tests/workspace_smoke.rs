@@ -58,7 +58,7 @@ fn facade_module_paths_resolve() {
     let _ = swim::core::montecarlo::num_threads();
     let _ = swim::nn::Mode::Eval;
     let _ = swim::quant::DeviceSlicing::new(4, 4);
-    let _ = swim::cim::CostModel::default();
+    let _ = swim::cim::DeviceConfig::rram();
     let t: swim::tensor::Tensor = swim::tensor::Tensor::zeros(&[2, 2]);
     assert_eq!(t.len(), 4);
 }
