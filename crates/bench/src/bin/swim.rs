@@ -65,7 +65,7 @@ fn usage() {
     println!("                             ASCII plot (the report's figures, stand-alone)");
     println!("  summarize <dir|file>...    aggregate many results documents into one table");
     println!("  serve                      run the HTTP experiment service (job queue,");
-    println!("                             shared worker pool, prepared-model cache)");
+    println!("                             shared worker pool, trained-model cache)");
     println!("  list                       list presets, selectors, and device models");
     println!("  help                       this message");
     println!();

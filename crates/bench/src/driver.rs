@@ -7,7 +7,7 @@
 //! presentation (SWIM, Magnitude, Random, In-situ) is just the default
 //! selector registry order.
 
-use crate::prep::Prepared;
+use crate::prep::Trained;
 use swim_core::insitu::{insitu_training, InsituConfig};
 use swim_core::montecarlo::{
     aggregate_sweep_rows, nwc_sweep_outcome, parallel_map_with, PanicPolicy, RunFault, SweepConfig,
@@ -15,6 +15,7 @@ use swim_core::montecarlo::{
 };
 use swim_core::report::{fmt_mean_std, Table};
 use swim_core::select::Selector;
+use swim_core::QuantizedModel;
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_tensor::stats::Running;
 use swim_tensor::tune;
@@ -58,6 +59,9 @@ pub struct MethodCurves {
 }
 
 /// Configuration of a full method comparison.
+///
+/// Public because perfbench's traced pass (a replica of `run_spec`)
+/// builds one; ROADMAP direction 1 retires that replica and frees it.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// Write-verified weight fractions (≈ NWC grid).
@@ -121,14 +125,17 @@ impl DriverConfig {
 }
 
 /// Runs the given selectors (plus, when configured, the in-situ
-/// baseline) on a prepared scenario.
+/// baseline) on `model`, one `(device model, sigma)` binding of
+/// `trained`.
 ///
-/// Sensitivities are computed once from the training split (SWIM's
-/// "single pass"); all write-verify methods share the same Monte Carlo
-/// seeds so their comparison is paired; in-situ training runs its own
-/// Monte Carlo with per-run RNG forks.
+/// Every method ranks by `trained`'s sensitivities (SWIM's "single
+/// pass", computed once per trained model, not per block); all
+/// write-verify methods share the same Monte Carlo seeds so their
+/// comparison is paired; in-situ training runs its own Monte Carlo with
+/// per-run RNG forks.
 pub fn run_methods(
-    prepared: &mut Prepared,
+    trained: &Trained,
+    model: &QuantizedModel,
     selectors: &[Box<dyn Selector>],
     cfg: &DriverConfig,
 ) -> MethodCurves {
@@ -142,11 +149,7 @@ pub fn run_methods(
             ..installed
         });
     }
-    let loss = SoftmaxCrossEntropy::new();
-    eprintln!("[driver] computing sensitivities (single second-derivative pass)...");
-    let sens = prepared.model.sensitivities(&loss, &prepared.train, cfg.eval_batch);
-    let mags = prepared.model.magnitudes();
-
+    let Trained { prepared, sensitivities, magnitudes } = trained;
     let sweep_cfg = SweepConfig {
         fractions: cfg.fractions.clone(),
         runs: cfg.runs,
@@ -160,10 +163,10 @@ pub fn run_methods(
     for selector in selectors {
         eprintln!("[driver] sweeping {} ({} runs)...", selector.name(), cfg.runs);
         let outcome = nwc_sweep_outcome(
-            &prepared.model,
+            model,
             selector.as_ref(),
-            &sens,
-            &mags,
+            sensitivities,
+            magnitudes,
             &prepared.test,
             &sweep_cfg,
         );
@@ -185,9 +188,7 @@ pub fn run_methods(
             record_at,
         };
         let base = Prng::seed_from_u64(cfg.seed.wrapping_add(0x5157_494D));
-        let model = &prepared.model;
-        let train = &prepared.train;
-        let test = &prepared.test;
+        let loss = SoftmaxCrossEntropy::new();
         // Fork by *global* run index (the provided fork is local), so a
         // shard reproduces exactly its rows of the unsharded baseline.
         parallel_map_with(
@@ -198,6 +199,7 @@ pub fn run_methods(
             |(), r, _| {
                 let mut rng = base.fork((cfg.run_offset + r) as u64);
                 let mut local = model.clone();
+                let (train, test) = (&prepared.train, &prepared.test);
                 insitu_training(&mut local, &loss, train, test, &insitu_cfg, &mut rng)
                     .into_iter()
                     .map(|p| (p.nwc, p.accuracy))
@@ -215,6 +217,8 @@ pub fn run_methods(
 /// Aggregates per-run in-situ trajectories into per-checkpoint
 /// statistics — the exact reduction `run_methods` has always applied,
 /// factored out so `swim merge` reproduces it over concatenated rows.
+/// Public for perfbench's traced pass until ROADMAP direction 1 retires
+/// that replica.
 pub fn insitu_stats_from_raw(checkpoints: usize, per_run: &[Vec<(f64, f64)>]) -> Vec<InsituStats> {
     if per_run.is_empty() {
         return Vec::new();
@@ -354,7 +358,8 @@ impl MethodCurves {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prep::{prepare, PrepConfig, Scenario};
+    use crate::prep::{PrepConfig, Scenario};
+    use swim_cim::model::default_device_model;
     use swim_cim::DeviceConfig;
     use swim_core::select::default_selectors;
     use swim_exp::spec::ExperimentSpec;
@@ -368,6 +373,16 @@ mod tests {
             t.gemm_threads,
             t.gemm_block_cols,
         )
+    }
+
+    /// Trains the LeNet scenario on `samples` and runs `selectors` under
+    /// `cfg`, bound to the reference RRAM device at sigma 0.15.
+    fn run(samples: usize, selectors: &[Box<dyn Selector>], cfg: &DriverConfig) -> MethodCurves {
+        let prep_cfg = PrepConfig { samples, epochs: 1, ..Default::default() };
+        let trained = Trained::new(Scenario::LenetMnist, &prep_cfg, cfg.eval_batch);
+        let device = DeviceConfig::rram().with_sigma(0.15);
+        let model = trained.prepared.model.with_device(device, default_device_model());
+        run_methods(&trained, &model, selectors, cfg)
     }
 
     #[test]
@@ -388,14 +403,11 @@ mod tests {
 
     #[test]
     fn driver_smoke_test() {
-        let prep_cfg = PrepConfig { samples: 400, epochs: 1, ..Default::default() };
-        let mut prepared =
-            prepare(Scenario::LenetMnist, DeviceConfig::rram().with_sigma(0.15), &prep_cfg);
         let cfg = config(
             "[sweep]\nfractions = [0.0, 0.5, 1.0]\n\
              [montecarlo]\nruns = 3\nthreads = 4\neval_batch = 80\n",
         );
-        let curves = run_methods(&mut prepared, &default_selectors(), &cfg);
+        let curves = run(400, &default_selectors(), &cfg);
         assert_eq!(curves.swim().len(), 3);
         assert_eq!(curves.insitu.len(), 3);
         let table = curves.to_table("smoke");
@@ -410,14 +422,11 @@ mod tests {
     /// order byte-for-byte.
     #[test]
     fn default_method_order_matches_legacy_strategy_order() {
-        let prep_cfg = PrepConfig { samples: 300, epochs: 1, ..Default::default() };
-        let mut prepared =
-            prepare(Scenario::LenetMnist, DeviceConfig::rram().with_sigma(0.15), &prep_cfg);
         let cfg = config(
             "[sweep]\nfractions = [0.0, 1.0]\n\
              [montecarlo]\nruns = 2\nthreads = 2\neval_batch = 60\n",
         );
-        let curves = run_methods(&mut prepared, &default_selectors(), &cfg);
+        let curves = run(300, &default_selectors(), &cfg);
         let names: Vec<&str> = curves.methods.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(
             names,
@@ -434,15 +443,11 @@ mod tests {
 
     #[test]
     fn insitu_can_be_disabled() {
-        let prep_cfg = PrepConfig { samples: 300, epochs: 1, ..Default::default() };
-        let mut prepared =
-            prepare(Scenario::LenetMnist, DeviceConfig::rram().with_sigma(0.15), &prep_cfg);
         let cfg = config(
             "[selection]\ninsitu = false\n[sweep]\nfractions = [0.0, 1.0]\n\
              [montecarlo]\nruns = 2\nthreads = 2\neval_batch = 60\n",
         );
-        let selectors = default_selectors();
-        let curves = run_methods(&mut prepared, &selectors[..1], &cfg);
+        let curves = run(300, &default_selectors()[..1], &cfg);
         assert!(curves.insitu.is_empty());
         assert_eq!(curves.methods.len(), 1);
         let table = curves.to_table("no-insitu");

@@ -13,7 +13,7 @@
 
 use crate::cli::{tuning_from_flags, Args};
 use crate::driver::{run_methods, DriverConfig, MethodCurves};
-use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
+use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario, Trained, TrainedCache};
 use crate::speedup::nwc_to_reach;
 use swim_cim::model::device_model_by_name;
 use swim_core::montecarlo::SweepPoint;
@@ -315,6 +315,15 @@ fn resume_into(
 /// document to `opts.out` when set (atomically — a crash never leaves a
 /// truncated document), and returns the typed document.
 pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, String> {
+    run_spec_with(spec, opts, &TrainedCache::default())
+}
+
+/// [`run_spec`] drawing the grid kinds' trained stage from `cache`.
+fn run_spec_with(
+    spec: &ExperimentSpec,
+    opts: &RunOptions,
+    cache: &TrainedCache,
+) -> Result<ResultsDoc, String> {
     spec.validate().map_err(|e| e.to_string())?;
     // Pinned hosts verify the spec agrees with the process's backend;
     // otherwise the spec's `run.simd` is switched to and the kernel
@@ -347,9 +356,9 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
         resume_into(&mut collector, spec, path)?;
     }
     match spec.kind {
-        ExperimentKind::Table1 => run_table1(spec, opts, &mut collector)?,
-        ExperimentKind::Fig2 => run_fig2(spec, opts, &mut collector)?,
-        ExperimentKind::Sweep => run_generic_sweep(spec, opts, &mut collector)?,
+        ExperimentKind::Table1 => run_table1(spec, opts, cache, &mut collector)?,
+        ExperimentKind::Fig2 => run_fig2(spec, opts, cache, &mut collector)?,
+        ExperimentKind::Sweep => run_generic_sweep(spec, opts, cache, &mut collector)?,
         ExperimentKind::Fig1 => run_fig1(spec, opts, &mut collector),
         ExperimentKind::Calibration => run_calibration(spec, opts, &mut collector),
         ExperimentKind::Ablation => run_ablation(spec, opts, &mut collector),
@@ -368,7 +377,7 @@ pub fn run_spec(spec: &ExperimentSpec, opts: &RunOptions) -> Result<ResultsDoc, 
 ///
 /// Used where switching backend mid-process is off the table:
 /// `run_spec` with [`RunOptions::pin_backend`], and the `swim serve`
-/// engine, whose prepared-model cache and worker pool assume one
+/// engine, whose trained-model cache and worker pool assume one
 /// backend for the process lifetime. A spec that agrees with the
 /// process passes; one that pins another backend is rejected rather
 /// than switched to — a served document must not claim a pin the
@@ -384,27 +393,61 @@ pub(crate) fn check_provenance_pinned(spec: &ExperimentSpec) -> Result<(), Strin
     }
 }
 
-/// Prepares one (scenario, device model, sigma) block and sweeps every
-/// configured method over it. `model_name` must already be validated
-/// against the registry (the spec's `validate()` guarantees it).
-fn prepare_and_sweep(
+/// Binds `trained` to one `(device model, sigma)` block and sweeps every
+/// configured method over it — the block body of `run_spec` and of the
+/// `swim serve` engine.
+pub(crate) fn sweep_block(
     spec: &ExperimentSpec,
+    trained: &Trained,
     model_name: &str,
     sigma: f64,
-) -> (Prepared, MethodCurves) {
-    let scenario = Scenario::from_spec(&spec.scenario);
-    let device = spec.device.config_at(sigma);
-    let prep_cfg = PrepConfig::from(spec);
-    let model = device_model_by_name(model_name)
-        .unwrap_or_else(|| panic!("validated spec has unknown device model `{model_name}`"));
-    let mut prepared = prepare_with_model(scenario, device, &prep_cfg, model);
+    cfg: &DriverConfig,
+) -> Result<MethodCurves, String> {
+    let device_model = device_model_by_name(model_name)
+        .ok_or_else(|| format!("unknown device model `{model_name}`"))?;
+    let model = trained.prepared.model.with_device(spec.device.config_at(sigma), device_model);
+    Ok(run_methods(trained, &model, &spec.selection.selectors(), cfg))
+}
+
+/// Runs and presents every `(device model, sigma)` block of the grid
+/// not yet done. Every block binds the one trained stage `cache` holds
+/// for the spec, trained on first use — so a fully resumed run trains
+/// nothing.
+fn run_grid(
+    spec: &ExperimentSpec,
+    csv: bool,
+    cache: &TrainedCache,
+    collector: &mut Collector,
+) -> Result<(), String> {
     // `run_spec` already installed the kernel configuration; the driver
     // config reads it back so every layer sees one policy.
     let t = tune::current();
     let cfg = DriverConfig::from_spec(spec, t.gemm_threads, t.gemm_block_cols);
-    let selectors = spec.selection.selectors();
-    let curves = run_methods(&mut prepared, &selectors, &cfg);
-    (prepared, curves)
+    let emit = block_emitter(spec.kind);
+    for (model_name, sigma) in model_sigma_grid(spec) {
+        if collector.block_done(&model_name, sigma) {
+            continue;
+        }
+        let (trained, _) = cache.get(spec);
+        let curves = sweep_block(spec, &trained, &model_name, sigma, &cfg)?;
+        let Prepared { float_accuracy, quant_accuracy, .. } = trained.prepared;
+        emit(spec, csv, collector, &model_name, sigma, float_accuracy, quant_accuracy, &curves);
+        collector.finish_block(spec, &model_name, sigma)?;
+    }
+    Ok(())
+}
+
+/// The presentation of a grid kind's finished blocks (shared with the
+/// `swim serve` assembly).
+#[allow(clippy::type_complexity)]
+pub(crate) fn block_emitter(
+    kind: ExperimentKind,
+) -> fn(&ExperimentSpec, bool, &mut Collector, &str, f64, f64, f64, &MethodCurves) {
+    match kind {
+        ExperimentKind::Table1 => emit_table1_block,
+        ExperimentKind::Fig2 => emit_fig2_block,
+        _ => emit_sweep_block,
+    }
 }
 
 /// The grid of `(device model, sigma)` blocks a grid-kind spec runs,
@@ -517,6 +560,7 @@ pub(crate) fn emit_table1_block(
 fn run_table1(
     spec: &ExperimentSpec,
     opts: &RunOptions,
+    cache: &TrainedCache,
     collector: &mut Collector,
 ) -> Result<(), String> {
     let scenario = Scenario::from_spec(&spec.scenario);
@@ -532,24 +576,7 @@ fn run_table1(
          dataset; compare method ordering, gaps, and stds.)\n"
     );
 
-    for (model_name, sigma) in model_sigma_grid(spec) {
-        let model_name = model_name.as_str();
-        if collector.block_done(model_name, sigma) {
-            continue;
-        }
-        let (prepared, curves) = prepare_and_sweep(spec, model_name, sigma);
-        emit_table1_block(
-            spec,
-            opts.csv,
-            collector,
-            model_name,
-            sigma,
-            prepared.float_accuracy,
-            prepared.quant_accuracy,
-            &curves,
-        );
-        collector.finish_block(spec, model_name, sigma)?;
-    }
+    run_grid(spec, opts.csv, cache, collector)?;
 
     println!(
         "paper (Table 1) reports: SWIM reaches full-write-verify accuracy at the lowest NWC at\n\
@@ -620,29 +647,14 @@ pub(crate) fn emit_fig2_block(
 fn run_fig2(
     spec: &ExperimentSpec,
     opts: &RunOptions,
+    cache: &TrainedCache,
     collector: &mut Collector,
 ) -> Result<(), String> {
     let scenario = Scenario::from_spec(&spec.scenario);
     println!("SWIM reproduction — {}: {}", spec.name, scenario.name());
     println!("paper: {}\n", spec.note);
 
-    let sigma = spec.device.sigmas[0];
-    let model_name = spec.device.models[0].as_str();
-    if collector.block_done(model_name, sigma) {
-        return Ok(());
-    }
-    let (prepared, curves) = prepare_and_sweep(spec, model_name, sigma);
-    emit_fig2_block(
-        spec,
-        opts.csv,
-        collector,
-        model_name,
-        sigma,
-        prepared.float_accuracy,
-        prepared.quant_accuracy,
-        &curves,
-    );
-    collector.finish_block(spec, model_name, sigma)
+    run_grid(spec, opts.csv, cache, collector)
 }
 
 // ----------------------------------------------------- generic sweep
@@ -685,6 +697,7 @@ pub(crate) fn emit_sweep_block(
 fn run_generic_sweep(
     spec: &ExperimentSpec,
     opts: &RunOptions,
+    cache: &TrainedCache,
     collector: &mut Collector,
 ) -> Result<(), String> {
     let scenario = Scenario::from_spec(&spec.scenario);
@@ -693,25 +706,7 @@ fn run_generic_sweep(
         println!("note: {}", spec.note);
     }
     println!();
-    for (model_name, sigma) in model_sigma_grid(spec) {
-        let model_name = model_name.as_str();
-        if collector.block_done(model_name, sigma) {
-            continue;
-        }
-        let (prepared, curves) = prepare_and_sweep(spec, model_name, sigma);
-        emit_sweep_block(
-            spec,
-            opts.csv,
-            collector,
-            model_name,
-            sigma,
-            prepared.float_accuracy,
-            prepared.quant_accuracy,
-            &curves,
-        );
-        collector.finish_block(spec, model_name, sigma)?;
-    }
-    Ok(())
+    run_grid(spec, opts.csv, cache, collector)
 }
 
 // ------------------------------------------------------------ Fig. 1
@@ -1090,6 +1085,63 @@ mod tests {
             accuracy_min: acc,
             accuracy_p05: acc + 0.05,
         }
+    }
+
+    /// A grid of 2 device models × 2 sigmas trains and runs the
+    /// sensitivity pass exactly once; every block equals the per-block
+    /// path it replaces (train, quantize straight onto the block's
+    /// device, own sensitivity pass); and resuming the finished run from
+    /// its journal trains nothing.
+    #[test]
+    fn model_sigma_grid_trains_once_and_matches_independent_blocks() {
+        let spec = ExperimentSpec::parse_str(
+            "kind = \"sweep\"\nseed = 5\n\
+             [device]\nmodel = [\"rram-gaussian\", \"sram-vt\"]\nsigmas = [0.1, 0.2]\n\
+             [training]\nsamples = 200\nepochs = 1\n\
+             [selection]\nmethods = [\"swim\", \"random\"]\n\
+             [sweep]\nfractions = [0.0, 0.5]\n[montecarlo]\nruns = 2\neval_batch = 50\n",
+        )
+        .unwrap();
+        let journal =
+            std::env::temp_dir().join(format!("swim-grid-trains-once-{}.json", std::process::id()));
+        let t = tune::current();
+        let opts = RunOptions {
+            tuning: t.clone(),
+            checkpoint: Some(journal.clone()),
+            ..RunOptions::default()
+        };
+        let cache = TrainedCache::default();
+        let doc = run_spec_with(&spec, &opts, &cache).unwrap();
+        assert_eq!(cache.counters(), (3, 1), "(hits, misses) over four blocks");
+        assert_eq!(doc.sweeps.len(), 4);
+
+        let cfg = DriverConfig::from_spec(&spec, t.gemm_threads, t.gemm_block_cols);
+        for block in &doc.sweeps {
+            let device_model = device_model_by_name(&block.device_model).unwrap();
+            let mut prepared = prepare_with_model(
+                Scenario::from_spec(&spec.scenario),
+                spec.device.config_at(block.sigma),
+                &PrepConfig::from(&spec),
+                device_model,
+            );
+            let loss = SoftmaxCrossEntropy::new();
+            let sensitivities = prepared.model.sensitivities(&loss, &prepared.train, 50);
+            let magnitudes = prepared.model.magnitudes();
+            let alone = Trained { prepared, sensitivities, magnitudes };
+            let model = &alone.prepared.model;
+            let curves = run_methods(&alone, model, &spec.selection.selectors(), &cfg);
+            let (float, quant) = (alone.prepared.float_accuracy, alone.prepared.quant_accuracy);
+            let expected =
+                sweep_record(&block.device_model, block.sigma, float, quant, &curves, false);
+            assert_eq!(*block, expected, "{} at {}", block.device_model, block.sigma);
+        }
+
+        let resume_opts = RunOptions { resume: Some(journal.clone()), ..opts };
+        let cache = TrainedCache::default();
+        let resumed = run_spec_with(&spec, &resume_opts, &cache).unwrap();
+        std::fs::remove_file(&journal).unwrap();
+        assert_eq!(cache.counters(), (0, 0), "a fully resumed run trains nothing");
+        assert_eq!(resumed.sweeps, doc.sweeps);
     }
 
     /// The results document must embed a spec echo that parses back to

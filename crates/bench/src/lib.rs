@@ -27,7 +27,7 @@
 //! the accuracy-target → NWC speed-up arithmetic ([`speedup`]), the
 //! selector-driven method-sweep driver ([`driver`]), the spec-driven
 //! experiment engine ([`experiment`]), and the `swim serve` engine with
-//! its prepared-model cache ([`service`]).
+//! its trained-model cache ([`service`]).
 
 #![warn(missing_docs)]
 

@@ -5,22 +5,22 @@
 //! dataset, train the corresponding architecture, and report the clean
 //! accuracies the paper quotes alongside each table/figure.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use swim_cim::model::{default_device_model, DeviceModel};
 use swim_cim::DeviceConfig;
 use swim_core::QuantizedModel;
 use swim_data::{synthetic_cifar, synthetic_mnist, synthetic_tiny_imagenet, Dataset};
+use swim_exp::spec::ExperimentSpec;
 use swim_nn::loss::SoftmaxCrossEntropy;
 use swim_nn::models::{ConvNetConfig, LeNetConfig, ResNet18Config, ResNetStem};
 use swim_nn::train::{fit, TrainConfig};
 use swim_nn::Network;
 
-/// A trained, quantized, device-bound experiment setup.
-///
-/// `Clone` is deliberate: the serve path caches one `Prepared` per
-/// preparation fingerprint and hands each job block its own copy
-/// (the sweep driver mutates the model's arena state in place).
-#[derive(Clone)]
+/// A trained, quantized, device-bound experiment setup — what the
+/// single-block kinds (`fig1`, `ablation`) mutate in place. The
+/// block-structured kinds and the service share a [`Trained`] instead.
 pub struct Prepared {
     /// The quantized model bound to the device configuration.
     pub model: QuantizedModel,
@@ -35,7 +35,7 @@ pub struct Prepared {
     pub quant_accuracy: f64,
 }
 
-/// Scenario descriptor for [`prepare`].
+/// Scenario descriptor for [`prepare_with_model`].
 #[derive(Debug, Clone, Copy)]
 pub enum Scenario {
     /// LeNet on the MNIST substitute (paper §4.3; 4-bit).
@@ -101,7 +101,7 @@ impl Scenario {
     }
 }
 
-/// Training budget for [`prepare`].
+/// Training budget for [`prepare_with_model`].
 #[derive(Debug, Clone, Copy)]
 pub struct PrepConfig {
     /// Total samples generated (split 80/20 train/test).
@@ -160,19 +160,13 @@ fn build_dataset(scenario: &Scenario, samples: usize, seed: u64) -> Dataset {
     }
 }
 
-/// Generates data, trains the scenario's network, and binds it to the
-/// device configuration.
+/// Generates data, trains the scenario's network, quantizes it, and
+/// binds it to `model` at `device` — without the sensitivity pass,
+/// which [`Trained::new`] adds on top. perfbench times exactly this call
+/// as a batch workload's `setup_s`.
 ///
 /// Prints one progress line per stage so long-running binaries show
 /// life; returns everything an experiment needs.
-pub fn prepare(scenario: Scenario, device: DeviceConfig, cfg: &PrepConfig) -> Prepared {
-    prepare_with_model(scenario, device, cfg, default_device_model())
-}
-
-/// [`prepare`] with an explicit device model from the `swim-cim`
-/// registry instead of the default RRAM Gaussian. Training is
-/// model-independent (the model only enters at programming time), so
-/// every model sees the identical trained network for a given seed.
 pub fn prepare_with_model(
     scenario: Scenario,
     device: DeviceConfig,
@@ -209,6 +203,71 @@ pub fn prepare_with_model(
     Prepared { model, train, test, float_accuracy, quant_accuracy }
 }
 
+/// The device-independent preparation stage (it reads neither device
+/// model nor sigma), shared by every `(device model, sigma)` block of a
+/// run and every served job with the same training prefix. Blocks bind
+/// it with [`QuantizedModel::with_device`], sharing the network.
+pub struct Trained {
+    /// The trained, quantized model (bound to the reference RRAM
+    /// device) with its data and clean accuracies.
+    pub prepared: Prepared,
+    /// SWIM sensitivities over the training split (the "single pass").
+    pub sensitivities: Vec<f32>,
+    /// Clean weight magnitudes (the magnitude baseline's metric).
+    pub magnitudes: Vec<f32>,
+}
+
+impl Trained {
+    /// Trains and quantizes the scenario's network, then runs the
+    /// sensitivity pass over the training split in batches of
+    /// `sensitivity_batch` (a spec's `montecarlo.eval_batch`).
+    pub fn new(scenario: Scenario, cfg: &PrepConfig, sensitivity_batch: usize) -> Trained {
+        let mut prepared =
+            prepare_with_model(scenario, DeviceConfig::rram(), cfg, default_device_model());
+        eprintln!("[prep] computing sensitivities (single second-derivative pass)...");
+        let loss = SoftmaxCrossEntropy::new();
+        let sensitivities = prepared.model.sensitivities(&loss, &prepared.train, sensitivity_batch);
+        let magnitudes = prepared.model.magnitudes();
+        Trained { prepared, sensitivities, magnitudes }
+    }
+}
+
+/// A single-flight cache of [`Trained`] stages keyed by
+/// [`ExperimentSpec::trained_fingerprint`], shared through `Arc`.
+/// `run_spec` keeps one per call (so every call trains, once); the
+/// `swim serve` engine keeps one for the process.
+#[derive(Default)]
+pub struct TrainedCache {
+    slots: Mutex<HashMap<String, Arc<OnceLock<Arc<Trained>>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl TrainedCache {
+    /// `spec`'s trained stage, trained on the first request. Concurrent
+    /// requests for one key wait for that one trainer and count as hits;
+    /// other keys never wait on it. Returns `(trained, cache_hit)`.
+    pub fn get(&self, spec: &ExperimentSpec) -> (Arc<Trained>, bool) {
+        let key = spec.trained_fingerprint();
+        let slot =
+            Arc::clone(self.slots.lock().expect("trained cache lock").entry(key).or_default());
+        let mut hit = true;
+        let trained = Arc::clone(slot.get_or_init(|| {
+            hit = false;
+            let (scenario, cfg) = (Scenario::from_spec(&spec.scenario), PrepConfig::from(spec));
+            Arc::new(Trained::new(scenario, &cfg, spec.montecarlo.eval_batch))
+        }));
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (trained, hit)
+    }
+
+    /// `(hits, misses)`; each miss is one training + sensitivity pass.
+    pub fn counters(&self) -> (u64, u64) {
+        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,12 +275,15 @@ mod tests {
     #[test]
     fn lenet_prep_learns() {
         let cfg = PrepConfig { samples: 600, epochs: 2, ..Default::default() };
-        let prepared = prepare(Scenario::LenetMnist, DeviceConfig::rram(), &cfg);
+        let trained = Trained::new(Scenario::LenetMnist, &cfg, 128);
+        let prepared = &trained.prepared;
         // Better than chance (10%) after even a short budget.
         assert!(prepared.quant_accuracy > 30.0, "accuracy {}", prepared.quant_accuracy);
         assert_eq!(prepared.model.mapper().slicing().weight_bits(), 4);
         assert_eq!(prepared.train.len(), 480);
         assert_eq!(prepared.test.len(), 120);
+        assert_eq!(trained.sensitivities.len(), prepared.model.weight_count());
+        assert_eq!(trained.magnitudes, prepared.model.magnitudes());
     }
 
     #[test]

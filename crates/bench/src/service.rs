@@ -4,21 +4,20 @@
 //! Three responsibilities live here, on the bench side of the
 //! service/engine seam:
 //!
-//! 1. **Block computation.** One `(device model, sigma)` block =
-//!    preparation (train → quantize → bind device) + the multi-method
+//! 1. **Block computation.** One `(device model, sigma)` block = binding
+//!    the shared trained model to the block's device + the multi-method
 //!    sweep. Intra-block Monte Carlo runs serially (`threads = 1`); all
 //!    parallelism comes from the service scheduling many blocks of many
 //!    jobs onto the shared [`swim_core::pool::WorkerPool`] — this is
 //!    what replaces the CLI's per-sweep `thread::scope`. Results are
 //!    unaffected: the Monte Carlo harness is bit-identical across
 //!    thread counts by construction.
-//! 2. **The prepared-model cache.** Preparation is the expensive,
-//!    highly shareable stage. It is keyed by
-//!    [`ExperimentSpec::prep_fingerprint`] — the canonical hash of
-//!    exactly the spec prefix that determines the trained model — so a
-//!    resubmission with a different sweep/method/budget suffix skips
-//!    training entirely. Hits and misses surface in `/metrics` and in
-//!    per-block job provenance.
+//! 2. **The trained-model cache.** Training, quantization and the
+//!    sensitivity pass read neither device model nor sigma, so a
+//!    single-flight [`TrainedCache`] keyed by
+//!    [`ExperimentSpec::trained_fingerprint`] trains once per training
+//!    prefix and every block of every job shares the `Arc`. Hits and
+//!    misses surface in `/metrics` and in per-block job provenance.
 //! 3. **Document assembly.** Blocks complete in arbitrary order on the
 //!    pool; the final document replays them through a quiet
 //!    `Collector` in grid order (the same replay `swim merge` uses),
@@ -26,24 +25,21 @@
 //!    same spec — modulo `wall_time_s`, the one legitimately differing
 //!    field.
 
-use std::collections::HashMap;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use swim_cim::model::device_model_by_name;
 use swim_exp::spec::{ExperimentKind, ExperimentSpec};
 use swim_serve::server::{BlockOutcome, BlockPayload, JobEngine};
 use swim_serve::{serve_forever, Server, ServerConfig};
 
 use crate::cli::{apply_gemm_flags, Args};
-use crate::driver::{run_methods, DriverConfig, MethodCurves};
+use crate::driver::{DriverConfig, MethodCurves};
 use crate::experiment::{
-    check_provenance_pinned, emit_fig2_block, emit_sweep_block, emit_table1_block,
-    model_sigma_grid, results_document, Collector,
+    block_emitter, check_provenance_pinned, model_sigma_grid, results_document, sweep_block,
+    Collector,
 };
-use crate::prep::{prepare_with_model, PrepConfig, Prepared, Scenario};
+use crate::prep::TrainedCache;
 
 /// What one computed block carries to assembly (opaque to the service).
 struct ServiceBlock {
@@ -52,57 +48,18 @@ struct ServiceBlock {
     curves: MethodCurves,
 }
 
-/// The real engine: prepared-model cache + block compute + assembly.
+/// The real engine: trained-model cache + block compute + assembly.
 pub struct ServiceEngine {
-    /// Prepared models keyed by preparation fingerprint.
-    cache: Mutex<HashMap<String, Prepared>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    cache: TrainedCache,
     gemm_threads: usize,
     gemm_block: usize,
 }
 
 impl ServiceEngine {
-    /// An engine with an empty cache and the given GEMM policy.
+    /// An engine with an empty cache and the given GEMM policy (perfbench
+    /// builds it so until ROADMAP direction 1's benchmark change).
     pub fn new(gemm_threads: usize, gemm_block: usize) -> ServiceEngine {
-        ServiceEngine {
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            gemm_threads,
-            gemm_block,
-        }
-    }
-
-    /// Clones the cached preparation for `fingerprint`, or prepares and
-    /// caches it. Returns `(prepared, cache_hit)`.
-    ///
-    /// On concurrent misses for the same key both workers prepare; the
-    /// preparation is deterministic, so last-insert-wins is harmless —
-    /// preferable to serializing unrelated misses behind one lock.
-    fn prepared_for(
-        &self,
-        spec: &ExperimentSpec,
-        model_name: &str,
-        sigma: f64,
-        fingerprint: &str,
-    ) -> Result<(Prepared, bool), String> {
-        if let Some(prepared) = self.cache.lock().expect("prep cache lock").get(fingerprint) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((prepared.clone(), true));
-        }
-        let scenario = Scenario::from_spec(&spec.scenario);
-        let device = spec.device.config_at(sigma);
-        let prep_cfg = PrepConfig::from(spec);
-        let model = device_model_by_name(model_name)
-            .ok_or_else(|| format!("unknown device model `{model_name}`"))?;
-        let prepared = prepare_with_model(scenario, device, &prep_cfg, model);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.cache
-            .lock()
-            .expect("prep cache lock")
-            .insert(fingerprint.to_string(), prepared.clone());
-        Ok((prepared, false))
+        ServiceEngine { cache: TrainedCache::default(), gemm_threads, gemm_block }
     }
 }
 
@@ -125,7 +82,7 @@ impl JobEngine for ServiceEngine {
                     .into(),
             );
         }
-        // The prepared-model cache and worker pool assume one SIMD
+        // The trained-model cache and worker pool assume one SIMD
         // backend for the process lifetime, so a spec pinning a
         // different one is rejected rather than switched to.
         check_provenance_pinned(spec)?;
@@ -142,10 +99,8 @@ impl JobEngine for ServiceEngine {
         device_model: &str,
         sigma: f64,
     ) -> Result<BlockOutcome, String> {
-        let fingerprint = spec.prep_fingerprint(device_model, sigma);
         let prep_start = Instant::now();
-        let (mut prepared, cache_hit) =
-            self.prepared_for(spec, device_model, sigma, &fingerprint)?;
+        let (trained, cache_hit) = self.cache.get(spec);
         let prep_seconds = prep_start.elapsed().as_secs_f64();
 
         let sweep_start = Instant::now();
@@ -155,14 +110,13 @@ impl JobEngine for ServiceEngine {
         // is bit-identical across thread counts, so this changes
         // nothing but scheduling.
         cfg.threads = 1;
-        let selectors = spec.selection.selectors();
-        let curves = run_methods(&mut prepared, &selectors, &cfg);
+        let curves = sweep_block(spec, &trained, device_model, sigma, &cfg)?;
         let sweep_seconds = sweep_start.elapsed().as_secs_f64();
 
         Ok(BlockOutcome {
             payload: Box::new(ServiceBlock {
-                float_accuracy: prepared.float_accuracy,
-                quant_accuracy: prepared.quant_accuracy,
+                float_accuracy: trained.prepared.float_accuracy,
+                quant_accuracy: trained.prepared.quant_accuracy,
                 curves,
             }),
             cache_hit,
@@ -189,48 +143,27 @@ impl JobEngine for ServiceEngine {
         // same path `swim merge` uses, which is what makes the served
         // document byte-identical to `swim run`'s (modulo wall time).
         let mut collector = Collector::quiet();
+        let emit = block_emitter(spec.kind);
         for ((model_name, sigma), payload) in grid.iter().zip(payloads) {
             let block = payload
                 .downcast::<ServiceBlock>()
                 .map_err(|_| "block payload is not a ServiceBlock".to_string())?;
-            match spec.kind {
-                ExperimentKind::Table1 => emit_table1_block(
-                    spec,
-                    false,
-                    &mut collector,
-                    model_name,
-                    *sigma,
-                    block.float_accuracy,
-                    block.quant_accuracy,
-                    &block.curves,
-                ),
-                ExperimentKind::Fig2 => emit_fig2_block(
-                    spec,
-                    false,
-                    &mut collector,
-                    model_name,
-                    *sigma,
-                    block.float_accuracy,
-                    block.quant_accuracy,
-                    &block.curves,
-                ),
-                _ => emit_sweep_block(
-                    spec,
-                    false,
-                    &mut collector,
-                    model_name,
-                    *sigma,
-                    block.float_accuracy,
-                    block.quant_accuracy,
-                    &block.curves,
-                ),
-            }
+            emit(
+                spec,
+                false,
+                &mut collector,
+                model_name,
+                *sigma,
+                block.float_accuracy,
+                block.quant_accuracy,
+                &block.curves,
+            );
         }
         Ok(results_document(spec, collector, wall_time_s).to_json())
     }
 
     fn cache_counters(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+        self.cache.counters()
     }
 }
 

@@ -1,14 +1,17 @@
 //! End-to-end test of the experiment service on the real engine: the
 //! document served over `GET /jobs/{id}/result` must be byte-identical
 //! to what `swim run` writes for the same spec (modulo `wall_time_s`),
-//! and resubmitting a spec must hit the prepared-model cache instead of
-//! training again — visible in both `/metrics` and the per-block job
+//! and every block of every job with one training prefix must share a
+//! single training — visible in both `/metrics` and the per-block job
 //! provenance.
 //!
 //! The requests go through [`Server::handle`] directly (the routing,
 //! scheduling, and assembly layers); the raw-socket path is covered by
-//! the serve crate's parser tests and the CI smoke.
+//! the serve crate's parser tests, the CI smoke, and the hostile-body
+//! test below.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
 use swim_bench::cli::Args;
@@ -17,7 +20,7 @@ use swim_bench::service::ServiceEngine;
 use swim_exp::spec::ExperimentSpec;
 use swim_exp::value::{parse_json, Value};
 use swim_report::schema::ResultsDoc;
-use swim_serve::{Request, Response, Server, ServerConfig};
+use swim_serve::{serve_forever, Request, Response, Server, ServerConfig};
 
 /// Two (model, sigma) blocks on a tiny training/Monte Carlo budget —
 /// enough to exercise scheduling, assembly order, and the cache without
@@ -98,7 +101,9 @@ fn served_document_matches_run_and_resubmission_hits_the_cache() {
         Arc::new(ServiceEngine::new(opts.tuning.gemm_threads, opts.tuning.gemm_block_cols));
     let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
 
-    // First submission: every block is a cache miss (trains).
+    // First submission: the two sigma blocks share one training prefix,
+    // so exactly one of them trains (miss) and the other reuses or waits
+    // for that training (hit).
     let created = server.handle(&request("POST", "/jobs", SPEC.as_bytes()));
     assert_eq!(created.status, 201, "{}", String::from_utf8_lossy(&created.body));
     let id = field(&body_json(&created), "id").as_str().expect("job id").to_string();
@@ -106,9 +111,9 @@ fn served_document_matches_run_and_resubmission_hits_the_cache() {
     assert_eq!(field(&status, "state").as_str(), Some("done"), "{}", status.to_json());
     let blocks = field(&status, "blocks").as_array().expect("blocks array");
     assert_eq!(blocks.len(), 2);
-    for block in blocks {
-        assert_eq!(field(block, "cache_hit").as_bool(), Some(false), "{}", block.to_json());
-    }
+    let hits: Vec<bool> =
+        blocks.iter().map(|b| field(b, "cache_hit").as_bool().expect("cache_hit")).collect();
+    assert_eq!(hits.iter().filter(|&&h| h).count(), 1, "{}", status.to_json());
 
     let served = server.handle(&request("GET", &format!("/jobs/{id}/result"), b""));
     assert_eq!(served.status, 200);
@@ -138,14 +143,81 @@ fn served_document_matches_run_and_resubmission_hits_the_cache() {
     let served_doc2 = String::from_utf8(served2.body).expect("utf-8 document");
     assert_eq!(normalized(&served_doc2), normalized(&served_doc));
 
-    // The cache traffic is visible in /metrics: 2 misses (first job),
-    // 2 hits (resubmission).
+    // The cache traffic is visible in /metrics: 1 miss + 1 hit (first
+    // job), 2 hits (resubmission).
     let metrics = server.handle(&request("GET", "/metrics", b""));
     assert_eq!(metrics.status, 200);
     let text = String::from_utf8(metrics.body).expect("utf-8 metrics");
-    assert!(text.contains("swim_prep_cache_hits_total 2"), "{text}");
-    assert!(text.contains("swim_prep_cache_misses_total 2"), "{text}");
+    assert!(text.contains("swim_prep_cache_hits_total 3"), "{text}");
+    assert!(text.contains("swim_prep_cache_misses_total 1"), "{text}");
     assert!(text.contains("swim_jobs_done_total 2"), "{text}");
+}
+
+/// Concurrent jobs that share a training prefix but differ in device
+/// model, sigma grid and sweep suffix train exactly once between them:
+/// the first block to arrive trains, every other block waits for that
+/// trainer or reuses its result.
+#[test]
+fn concurrent_submissions_sharing_a_training_prefix_train_once() {
+    let engine = Arc::new(ServiceEngine::new(1, 0));
+    let server = Server::new(engine, ServerConfig { workers: 2, ..ServerConfig::default() });
+    let variants = [
+        SPEC.to_string(),
+        SPEC.replace("tech = \"rram\"", "tech = \"rram\"\nmodel = [\"sram-vt\"]"),
+        SPEC.replace("fractions = [0.0, 1.0]", "fractions = [0.5]")
+            .replace("sigmas = [0.1, 0.15]", "sigmas = [0.2]"),
+    ];
+    let ids: Vec<String> = variants
+        .iter()
+        .map(|spec| {
+            let created = server.handle(&request("POST", "/jobs", spec.as_bytes()));
+            assert_eq!(created.status, 201, "{}", String::from_utf8_lossy(&created.body));
+            field(&body_json(&created), "id").as_str().expect("job id").to_string()
+        })
+        .collect();
+    for id in &ids {
+        let status = wait_terminal(&server, id);
+        assert_eq!(field(&status, "state").as_str(), Some("done"), "{}", status.to_json());
+    }
+    let metrics = server.handle(&request("GET", "/metrics", b""));
+    let text = String::from_utf8(metrics.body).expect("utf-8 metrics");
+    assert!(text.contains("swim_prep_cache_misses_total 1\n"), "{text}");
+    assert!(text.contains("swim_prep_cache_hits_total 4\n"), "{text}");
+}
+
+/// One raw HTTP/1.1 exchange over a fresh connection; returns the
+/// status code.
+fn raw_status(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).expect("write head");
+    stream.write_all(body).expect("write body");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read reply");
+    let status = reply.split_whitespace().nth(1).unwrap_or_else(|| panic!("no status: {reply}"));
+    status.parse().expect("numeric status")
+}
+
+/// A ~800 KB `POST /jobs` body whose value nests 400,000 arrays is
+/// refused with 400 on its connection thread — it used to overflow that
+/// thread's stack and abort the whole server — and the server keeps
+/// answering afterwards.
+#[test]
+fn hostile_nested_body_gets_400_and_the_server_keeps_answering() {
+    let engine = Arc::new(ServiceEngine::new(1, 0));
+    let server = Server::new(engine, ServerConfig { workers: 1, ..ServerConfig::default() });
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || serve_forever(server, listener));
+
+    let body = format!("x = {}1{}", "[".repeat(400_000), "]".repeat(400_000));
+    assert!(body.len() < ServerConfig::default().max_body_bytes, "under the body cap");
+    assert_eq!(raw_status(addr, "POST", "/jobs", body.as_bytes()), 400);
+    assert_eq!(raw_status(addr, "GET", "/healthz", b""), 200);
+    assert_eq!(raw_status(addr, "GET", "/metrics", b""), 200);
 }
 
 /// The service assumes one SIMD backend for the process lifetime: a spec

@@ -234,6 +234,26 @@ fn corrupt_documents_exit_two_without_panicking() {
     }
 }
 
+/// Input nested far past the parser's depth cap is a usage error (exit
+/// 2 naming the nesting), not a stack overflow: a results file of
+/// 200,000 `[` under `swim report`, and a spec whose value nests
+/// 200,000 arrays under `swim run`.
+#[test]
+fn deeply_nested_input_exits_two_without_overflowing() {
+    let dir = tempdir("swim-deep");
+    let doc = dir.join("deep.json");
+    std::fs::write(&doc, "[".repeat(200_000)).unwrap();
+    let spec = dir.join("deep.toml");
+    std::fs::write(&spec, format!("x = {}", "[".repeat(200_000))).unwrap();
+    let (doc, spec) = (doc.display().to_string(), spec.display().to_string());
+    for args in [vec!["report", doc.as_str()], vec!["run", spec.as_str()]] {
+        let out = swim(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("nests deeper than"), "{args:?}: {stderr}");
+    }
+}
+
 /// The shard → merge → verify loop through the actual binary:
 /// two `--shard` runs merge into a document that diffs clean against
 /// the single-shot run, and the merged bytes are identical modulo wall

@@ -30,9 +30,11 @@ struct Slot {
 ///
 /// All programming operations work on the flat weight coordinate system
 /// of [`Network::device_weights`].
+/// The network is shared copy-on-write by clones and
+/// [`QuantizedModel::with_device`] bindings.
 #[derive(Debug, Clone)]
 pub struct QuantizedModel {
-    network: Network,
+    network: Arc<Network>,
     slots: Vec<Slot>,
     codes: Vec<i32>,
     clean_weights: Vec<f32>,
@@ -83,7 +85,17 @@ impl QuantizedModel {
             }
         });
         let clean_weights = network.device_weights();
-        QuantizedModel { network, slots, codes, clean_weights, mapper }
+        QuantizedModel { network: Arc::new(network), slots, codes, clean_weights, mapper }
+    }
+
+    /// This model, not re-quantized, programmed through `model` at
+    /// `device` (panics as [`QuantizedModel::new`] does on bad widths).
+    pub fn with_device(&self, device: DeviceConfig, model: Arc<dyn DeviceModel>) -> Self {
+        let weight_bits = self.mapper.slicing().weight_bits();
+        QuantizedModel {
+            mapper: WeightMapper::with_model(weight_bits, device, model),
+            ..self.clone()
+        }
     }
 
     /// Number of device-mapped weights.
@@ -117,19 +129,19 @@ impl QuantizedModel {
     /// Mutable access to the clean network (weights are the quantized
     /// values).
     pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
+        Arc::make_mut(&mut self.network)
     }
 
     /// Deep copy of the clean network — one per Monte Carlo worker
     /// thread.
     pub fn network_clone(&self) -> Network {
-        self.network.clone()
+        Network::clone(&self.network)
     }
 
     /// Accuracy of the clean quantized model — the paper's "accuracy
     /// without the impact of device variation".
     pub fn clean_accuracy(&mut self, data: &Dataset, batch: usize) -> f64 {
-        self.network.accuracy(data.images(), data.labels(), batch)
+        self.network_mut().accuracy(data.images(), data.labels(), batch)
     }
 
     /// Per-weight std of a single uncorrected write, in *weight value*
@@ -170,7 +182,7 @@ impl QuantizedModel {
         rng: &mut Prng,
     ) -> (Network, ProgramSummary) {
         let (weights, summary) = self.program_weights(selection, rng);
-        let mut network = self.network.clone();
+        let mut network = self.network_clone();
         network.set_device_weights(&weights);
         (network, summary)
     }
@@ -260,17 +272,18 @@ impl QuantizedModel {
     /// `batch` (paper §3.3 — one forward + one backward pass per batch).
     pub fn sensitivities(&mut self, loss: &dyn Loss, data: &Dataset, batch: usize) -> Vec<f32> {
         assert!(batch > 0, "batch must be positive");
-        self.network.zero_hess();
+        let network = self.network_mut();
+        network.zero_hess();
         let n = data.len();
         let mut start = 0usize;
         while start < n {
             let end = (start + batch).min(n);
             let images = data.images().slice_axis0(start, end);
             let targets = &data.labels()[start..end];
-            self.network.accumulate_hessian(loss, &images, targets);
+            network.accumulate_hessian(loss, &images, targets);
             start = end;
         }
-        self.network.device_hessian()
+        network.device_hessian()
     }
 
     /// Weight magnitudes `|w|` (the magnitude baseline's metric and
@@ -282,8 +295,7 @@ impl QuantizedModel {
     /// Restores the clean quantized weights into the held network (undo a
     /// perturbation applied via [`QuantizedModel::network_mut`]).
     pub fn restore_clean(&mut self) {
-        let weights = self.clean_weights.clone();
-        self.network.set_device_weights(&weights);
+        Arc::make_mut(&mut self.network).set_device_weights(&self.clean_weights);
     }
 }
 
@@ -470,6 +482,25 @@ mod tests {
         let (mut model, data) = tiny_flat_model_and_data();
         let acc = model.clean_accuracy(&data, 6);
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    #[test]
+    fn with_device_rebinds_without_requantizing() {
+        let mut model = tiny_model();
+        let bound = model.with_device(
+            DeviceConfig::rram().with_sigma(0.3),
+            Arc::new(swim_cim::model::RramGaussian),
+        );
+        assert!(Arc::ptr_eq(&model.network, &bound.network), "network is shared");
+        assert_eq!(bound.codes(), model.codes());
+        assert_eq!(bound.clean_weights(), model.clean_weights());
+        assert_eq!(bound.mapper().config().sigma, 0.3);
+        assert!(bound.weight_value_sigmas()[0] > model.weight_value_sigmas()[0]);
+        // Mutating one binding's network leaves the other's untouched.
+        let clean = model.clean_weights().to_vec();
+        model.network_mut().set_device_weights(&vec![0.0; clean.len()]);
+        assert!(!Arc::ptr_eq(&model.network, &bound.network));
+        assert_eq!(bound.network_clone().device_weights(), clean);
     }
 
     #[test]

@@ -1092,23 +1092,15 @@ impl ExperimentSpec {
 
     // ------------------------------------------------- fingerprint
 
-    /// The canonical *preparation prefix* of this spec for one
-    /// `(device model, sigma)` block: exactly the inputs that determine
-    /// the trained, quantized, device-bound model — scenario, training
-    /// budget, seed, the resolved device configuration at `sigma`, and
-    /// the device-model name. Everything downstream (selection methods,
-    /// sweep grid, Monte Carlo budget, sharding) is deliberately
-    /// excluded: two specs that differ only there share preparation
-    /// work, which is what the service's prepared-model cache exploits.
-    ///
-    /// The prefix is a [`Value`] tree with a fixed key order, so its
-    /// JSON form is canonical: equal preparation inputs ⇒ byte-equal
-    /// JSON ⇒ equal [`ExperimentSpec::prep_fingerprint`].
-    pub fn prep_prefix(&self, device_model: &str, sigma: f64) -> Value {
+    /// The canonical (fixed key order) *training prefix*: exactly the
+    /// inputs of the device-independent trained stage — seed, SIMD
+    /// backend, scenario, training budget, and `montecarlo.eval_batch`
+    /// (the sensitivity pass's batch sets its float accumulation order).
+    pub fn trained_prefix(&self) -> Value {
         let mut root = Value::table();
         root.set("seed", Value::Int(self.seed as i64));
         // Training runs through the GEMM kernels, whose accumulation
-        // order differs per SIMD backend — a prepared model is only
+        // order differs per SIMD backend — a trained model is only
         // reusable under the backend that built it.
         root.set("simd", Value::Str(swim_tensor::simd::backend().name().into()));
         let mut scenario = Value::table();
@@ -1123,7 +1115,21 @@ impl ExperimentSpec {
         training.set("lr", f32_value(self.training.lr));
         training.set("batch", Value::Int(self.training.batch as i64));
         root.set("training", training);
+        root.set("eval_batch", Value::Int(self.montecarlo.eval_batch as i64));
+        root
+    }
 
+    /// FNV-1a hash of [`ExperimentSpec::trained_prefix`]'s JSON as fixed-width
+    /// hex: the key of the trained-model cache.
+    pub fn trained_fingerprint(&self) -> String {
+        format!("{:016x}", fnv1a_64(self.trained_prefix().to_json().as_bytes()))
+    }
+
+    /// [`ExperimentSpec::trained_fingerprint`] extended by one block's
+    /// resolved device. Only perfbench's workload test still calls it,
+    /// until ROADMAP direction 1's benchmark change frees it.
+    pub fn prep_fingerprint(&self, device_model: &str, sigma: f64) -> String {
+        let mut root = self.trained_prefix();
         // Serialize the *resolved* DeviceConfig (via the round-tripping
         // DeviceSpec::from_config), not the raw spec fields: two specs
         // whose overrides resolve to the same device land on the same
@@ -1146,16 +1152,7 @@ impl ExperimentSpec {
             device.set("device_bits", Value::Int(b as i64));
         }
         root.set("device", device);
-        root
-    }
-
-    /// FNV-1a hash of the canonical JSON of
-    /// [`ExperimentSpec::prep_prefix`], as a fixed-width hex string —
-    /// the prepared-model cache key, also echoed in job provenance so a
-    /// cache hit is attributable.
-    pub fn prep_fingerprint(&self, device_model: &str, sigma: f64) -> String {
-        let json = self.prep_prefix(device_model, sigma).to_json();
-        format!("{:016x}", fnv1a_64(json.as_bytes()))
+        format!("{:016x}", fnv1a_64(root.to_json().as_bytes()))
     }
 
     /// Applies a `--set key=value` override on top of this spec.
@@ -1548,6 +1545,29 @@ mod tests {
         assert_ne!(train.prep_fingerprint("rram-gaussian", 0.1), fp);
         assert_ne!(base.prep_fingerprint("rram-gaussian", 0.2), fp, "sigma is in the prefix");
         assert_ne!(base.prep_fingerprint("sram-vt", 0.1), fp, "device model is in the prefix");
+    }
+
+    #[test]
+    fn trained_fingerprint_ignores_the_device_and_the_sweep_suffix() {
+        let base = ExperimentSpec::default();
+        let fp = base.trained_fingerprint();
+        assert_eq!(fp.len(), 16, "fixed-width hex");
+
+        // The device grid and the post-preparation suffix keep it.
+        let mut other = base.clone();
+        for set in
+            ["sigmas=0.05,0.3", "device.model=sram-vt,mram-stochastic", "runs=7", "methods=random"]
+        {
+            other.apply_set(set).unwrap();
+        }
+        assert_eq!(other.trained_fingerprint(), fp);
+
+        // Every training input moves it, the sensitivity batch included.
+        for set in ["seed=2", "epochs=3", "samples=123", "eval_batch=64"] {
+            let mut moved = base.clone();
+            moved.apply_set(set).unwrap();
+            assert_ne!(moved.trained_fingerprint(), fp, "{set}");
+        }
     }
 
     #[test]

@@ -288,20 +288,41 @@ fn quote_string(s: &str) -> String {
     out
 }
 
+/// Deepest nesting of tables and arrays either parser accepts (real
+/// documents nest under ten levels): hostile input such as 200,000 `[`
+/// must not overflow the stack of the recursive descent, nor of the
+/// recursive walks (rendering, dropping) over the tree it would build.
+pub const MAX_DEPTH: usize = 128;
+
 /// Character-cursor shared by the two parsers.
 struct Cursor<'a> {
     text: &'a [u8],
     pos: usize,
     line: usize,
+    /// Tables and arrays open around the current position.
+    depth: usize,
 }
 
 impl<'a> Cursor<'a> {
     fn new(text: &'a str) -> Self {
-        Cursor { text: text.as_bytes(), pos: 0, line: 1 }
+        Cursor { text: text.as_bytes(), pos: 0, line: 1, depth: 0 }
     }
 
     fn err(&self, msg: impl Into<String>) -> String {
         format!("line {}: {}", self.line, msg.into())
+    }
+
+    /// Opens one more table or array level under the dotted `path`
+    /// (empty at the document root), failing past [`MAX_DEPTH`]. The
+    /// caller closes it with `depth -= 1` once the container parsed.
+    fn enter(&mut self, path: &str) -> Result<(), String> {
+        self.depth += 1;
+        if self.depth <= MAX_DEPTH {
+            return Ok(());
+        }
+        let at =
+            if path.is_empty() { "the document root".to_string() } else { format!("`{path}`") };
+        Err(self.err(format!("value at {at} nests deeper than {MAX_DEPTH} levels")))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -448,6 +469,13 @@ pub fn parse_toml(text: &str) -> Result<Value, String> {
             loop {
                 let key = parse_key(&mut cursor)?;
                 path.push(key);
+                if path.len() > MAX_DEPTH {
+                    let err = format!(
+                        "section `{}` nests deeper than {MAX_DEPTH} levels",
+                        path.join(".")
+                    );
+                    return Err(cursor.err(err));
+                }
                 cursor.skip_inline_ws();
                 match cursor.bump() {
                     Some(b'.') => {
@@ -481,16 +509,17 @@ pub fn parse_toml(text: &str) -> Result<Value, String> {
                 return Err(cursor.err(format!("expected `=` after key `{key}`")));
             }
             cursor.skip_inline_ws();
-            let value = parse_toml_value(&mut cursor)?;
+            let mut full = section.clone();
+            full.push(key.clone());
+            let path = full.join(".");
+            cursor.depth = full.len();
+            let value = parse_toml_value(&mut cursor, &path)?;
             cursor.skip_inline_ws();
             if let Some(c) = cursor.peek() {
                 if c != b'\n' && c != b'#' {
                     return Err(cursor.err(format!("trailing characters after value for `{key}`")));
                 }
             }
-            let mut full = section.clone();
-            full.push(key.clone());
-            let path = full.join(".");
             // Reject duplicate keys.
             let mut probe = &root;
             let mut dup = true;
@@ -526,20 +555,23 @@ fn parse_key(cursor: &mut Cursor) -> Result<String, String> {
     Ok(std::str::from_utf8(&cursor.text[start..cursor.pos]).expect("ascii key").to_string())
 }
 
-fn parse_toml_value(cursor: &mut Cursor) -> Result<Value, String> {
+/// Parses one TOML value; `path` is its dotted key path, for errors.
+fn parse_toml_value(cursor: &mut Cursor, path: &str) -> Result<Value, String> {
     match cursor.peek() {
         None => Err(cursor.err("expected a value")),
         Some(b'"') => cursor.parse_quoted_string().map(Value::Str),
         Some(b'[') => {
+            cursor.enter(path)?;
             cursor.bump();
             let mut items = Vec::new();
             loop {
                 cursor.skip_ws_and_comments();
                 if cursor.peek() == Some(b']') {
                     cursor.bump();
+                    cursor.depth -= 1;
                     return Ok(Value::Array(items));
                 }
-                items.push(parse_toml_value(cursor)?);
+                items.push(parse_toml_value(cursor, path)?);
                 cursor.skip_ws_and_comments();
                 match cursor.peek() {
                     Some(b',') => {
@@ -579,7 +611,7 @@ fn parse_toml_value(cursor: &mut Cursor) -> Result<Value, String> {
 pub fn parse_json(text: &str) -> Result<Value, String> {
     let mut cursor = Cursor::new(text);
     cursor.skip_ws_and_comments();
-    let value = parse_json_value(&mut cursor)?;
+    let value = parse_json_value(&mut cursor, "")?;
     cursor.skip_ws_and_comments();
     if cursor.peek().is_some() {
         return Err(cursor.err("trailing characters after JSON document"));
@@ -587,17 +619,20 @@ pub fn parse_json(text: &str) -> Result<Value, String> {
     Ok(value)
 }
 
-fn parse_json_value(cursor: &mut Cursor) -> Result<Value, String> {
+/// Parses one JSON value; `path` is its dotted key path, for errors.
+fn parse_json_value(cursor: &mut Cursor, path: &str) -> Result<Value, String> {
     cursor.skip_ws_and_comments();
     match cursor.peek() {
         None => Err(cursor.err("expected a JSON value")),
         Some(b'"') => cursor.parse_quoted_string().map(Value::Str),
         Some(b'{') => {
+            cursor.enter(path)?;
             cursor.bump();
             let mut entries: Vec<(String, Value)> = Vec::new();
             cursor.skip_ws_and_comments();
             if cursor.peek() == Some(b'}') {
                 cursor.bump();
+                cursor.depth -= 1;
                 return Ok(Value::Table(entries));
             }
             loop {
@@ -613,30 +648,39 @@ fn parse_json_value(cursor: &mut Cursor) -> Result<Value, String> {
                 if cursor.bump() != Some(b':') {
                     return Err(cursor.err("expected `:` after object key"));
                 }
-                let value = parse_json_value(cursor)?;
+                let child = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+                let value = parse_json_value(cursor, &child)?;
                 entries.push((key, value));
                 cursor.skip_ws_and_comments();
                 match cursor.bump() {
                     Some(b',') => {}
-                    Some(b'}') => return Ok(Value::Table(entries)),
+                    Some(b'}') => {
+                        cursor.depth -= 1;
+                        return Ok(Value::Table(entries));
+                    }
                     _ => return Err(cursor.err("expected `,` or `}` in object")),
                 }
             }
         }
         Some(b'[') => {
+            cursor.enter(path)?;
             cursor.bump();
             let mut items = Vec::new();
             cursor.skip_ws_and_comments();
             if cursor.peek() == Some(b']') {
                 cursor.bump();
+                cursor.depth -= 1;
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_json_value(cursor)?);
+                items.push(parse_json_value(cursor, path)?);
                 cursor.skip_ws_and_comments();
                 match cursor.bump() {
                     Some(b',') => {}
-                    Some(b']') => return Ok(Value::Array(items)),
+                    Some(b']') => {
+                        cursor.depth -= 1;
+                        return Ok(Value::Array(items));
+                    }
                     _ => return Err(cursor.err("expected `,` or `]` in array")),
                 }
             }
@@ -898,7 +942,7 @@ pub fn parse_loose(raw: &str) -> Value {
         return Value::Array(trimmed.split(',').map(parse_loose).collect());
     }
     let mut cursor = Cursor::new(trimmed);
-    let parsed = parse_toml_value(&mut cursor);
+    let parsed = parse_toml_value(&mut cursor, "");
     match parsed {
         Ok(v) if cursor.pos == trimmed.len() => v,
         _ => Value::Str(trimmed.to_string()),
@@ -1008,6 +1052,30 @@ mod tests {
         assert_eq!(root.get("seed").unwrap().as_int(), Some(3));
         // A scalar segment cannot be traversed.
         assert!(root.set_path("seed.sub", Value::Int(1)).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth_in_both_syntaxes() {
+        let nest = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        // JSON: the cap counts every array and table from the root.
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let e = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.contains("the document root nests deeper than 128"), "{e}");
+        let deep = format!("{{\"a\": {{\"b\": {}}}}}", nest(MAX_DEPTH));
+        let e = parse_json(&deep).unwrap_err();
+        assert!(e.contains("value at `a.b` nests deeper"), "{e}");
+        // TOML: the key's table level counts too, and so do sections.
+        assert!(parse_toml(&format!("x = {}\n", nest(MAX_DEPTH - 1))).is_ok());
+        let e = parse_toml(&format!("[s]\nx = {}\n", nest(MAX_DEPTH - 1))).unwrap_err();
+        assert!(e.contains("value at `s.x` nests deeper"), "{e}");
+        let header = vec!["k"; MAX_DEPTH + 1].join(".");
+        let e = parse_toml(&format!("[{header}]\n")).unwrap_err();
+        assert!(e.contains("section `k.k.k") && e.contains("nests deeper"), "{e}");
+        // Hostile depths fail fast instead of overflowing the stack.
+        let hostile = "[".repeat(200_000);
+        assert!(parse_json(&hostile).unwrap_err().contains("nests deeper"));
+        assert!(parse_toml(&format!("x = {hostile}")).unwrap_err().contains("nests deeper"));
+        assert_eq!(parse_loose(&hostile), Value::Str(hostile.clone()));
     }
 
     #[test]

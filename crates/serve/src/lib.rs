@@ -15,8 +15,8 @@
 //!   `/metrics` ([`server`]).
 //! * **In `swim-bench`:** the [`server::JobEngine`] implementation that
 //!   actually trains, sweeps, and assembles documents — including the
-//!   prepared-model cache keyed by
-//!   [`swim_exp::spec::ExperimentSpec::prep_fingerprint`].
+//!   single-flight trained-model cache that every block shares, keyed by
+//!   [`swim_exp::spec::ExperimentSpec::trained_fingerprint`].
 //!
 //! That split keeps the service logic free of the experiment crates
 //! (testable with a scripted engine) and lets the `swim` CLI own the

@@ -23,7 +23,7 @@
 //! service layer stays free of the experiment crates' heavy
 //! dependencies (and unit-testable with a scripted engine); the real
 //! implementation lives in `swim-bench`, which also owns the
-//! prepared-model cache whose counters surface in `/metrics`.
+//! trained-model cache whose counters surface in `/metrics`.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -48,9 +48,9 @@ pub type BlockPayload = Box<dyn Any + Send>;
 pub struct BlockOutcome {
     /// Engine-private block result, handed back at assembly.
     pub payload: BlockPayload,
-    /// Whether preparation was served from the prepared-model cache.
+    /// Whether preparation came from the cache (or another block's training).
     pub cache_hit: bool,
-    /// Seconds spent preparing (training/quantizing); ~0 on a hit.
+    /// Seconds spent training, or waiting for the cached/in-flight model.
     pub prep_seconds: f64,
     /// Seconds spent on the selection/Monte-Carlo sweep.
     pub sweep_seconds: f64,
@@ -78,7 +78,7 @@ pub trait JobEngine: Send + Sync + 'static {
         payloads: Vec<BlockPayload>,
         wall_time_s: f64,
     ) -> Result<String, String>;
-    /// Prepared-model cache `(hits, misses)` counters.
+    /// Model-cache `(hits, misses)` counters.
     fn cache_counters(&self) -> (u64, u64);
 }
 
@@ -457,8 +457,8 @@ impl Server {
         Response::json(202, out.to_json())
     }
 
-    /// `GET /metrics`: text exposition of queue, cache, and stage
-    /// counters.
+    /// `GET /metrics`: text exposition of queue, cache, and stage counters
+    /// (`swim_prep_cache_*` keep their names until perfbench stops reading them).
     fn render_metrics(&self) -> String {
         let jobs = self.jobs.lock().expect("jobs lock");
         let mut queued = 0usize;
